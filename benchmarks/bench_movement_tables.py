@@ -1,25 +1,28 @@
-"""Movement-tables engine: cold exhaustive-order compile speedup.
+"""Movement tables: cold exhaustive-order compile speedup.
 
-The tentpole claim of the tables engine is that the analytical model stops
-being the compile-time bottleneck: ``MovementModel`` compiles once into
-:class:`repro.core.tables.MovementTables`, the tile solver feeds SLSQP
-analytic log-space gradients through generated row kernels (with properly
-scaled constraints), and integer refinement scores its lattice in one
-batched call.  This benchmark cold-compiles GEMM + conv chains under the
-exhaustive order policy on every hardware preset and compares:
+The claim of the compiled movement tables is that the analytical model
+stops being the compile-time bottleneck: ``MovementModel`` compiles once
+into :class:`repro.core.tables.MovementTables`, the tile solver feeds
+SLSQP analytic log-space gradients (with properly scaled constraints),
+and integer refinement scores its lattice in one batched call.  This
+benchmark cold-compiles GEMM + conv chains under the exhaustive order
+policy on the three single-core hardware presets and compares:
 
-* **baseline** — the pre-tables solver: scalar engine, finite-difference
-  SLSQP gradients, raw byte-scale constraints (``solver._ANALYTIC_JAC``
-  escape hatch);
-* **tables** — the compiled engine with analytic gradients;
-* **scalar** — the scalar reference under the *production* solver, which
-  must pick a byte-identical plan to the tables engine on every cell.
+* **baseline** — the pre-tables solver (dict-based model calls,
+  finite-difference SLSQP gradients, raw byte-scale constraints).  That
+  solver is no longer in ``src/``; :data:`FD_BASELINE_S` holds its
+  per-cell seconds, measured on a fixed host, and the benchmark only
+  reads them;
+* **tables** — the production solver, timed now.
 
-Gate: aggregate (sum over cells) speedup of tables over baseline must be
->= 5x.  Per-cell ratios vary — small order spaces are dominated by order
-enumeration, which both engines share — so the gate is on the aggregate.
-Results land in ``benchmarks/results/bench_movement_tables.txt`` and the
-machine-readable ``benchmarks/results/BENCH_movement_tables.json``.
+Gate: aggregate (sum over cells) speedup of tables over the recorded
+baseline must be >= 5x.  Per-cell ratios vary — small order spaces are
+dominated by order enumeration — so the gate is on the aggregate.  The
+baseline was measured on one machine, so on any other the ratio also
+carries the speed difference between the two: a slower host reads low, a
+faster one high.  Results land in
+``benchmarks/results/bench_movement_tables.txt`` and the machine-readable
+``benchmarks/results/BENCH_movement_tables.json``.
 
 Run standalone with ``python benchmarks/bench_movement_tables.py
 [--smoke]``; ``--smoke`` restricts to two workloads on two presets with a
@@ -27,26 +30,40 @@ relaxed 2x gate (CI keeps it quick and flake-free).
 """
 
 import argparse
-import contextlib
 import json
 import pathlib
 import sys
 import time
 
 from repro.analysis import render_table
-from repro.core import solver
 from repro.core.optimizer import ChimeraOptimizer
 from repro.core.search import SearchPolicy, reset_search_stats, solve_memo
 from repro.core.tables import clear_tables_memo
-from repro.hardware import all_presets
-from repro.runtime.serialization import plan_to_dict
+from repro.hardware import preset
 from repro.workloads import conv_chain_config, gemm_chain_config
 
 RESULTS_JSON = (
     pathlib.Path(__file__).parent / "results" / "BENCH_movement_tables.json"
 )
 
-FULL_WORKLOADS = ("G1", "G4", "C4", "C6")
+#: Cold exhaustive-order compile seconds of the pre-tables solver per
+#: ``preset/workload`` cell: the median of six runs on a 2-vCPU Intel Xeon
+#: VM, at the last commit that had the solver (sums 78-94 s per run).
+FD_BASELINE_S = {
+    "xeon-gold-6240/G1": 0.504,
+    "xeon-gold-6240/G4": 0.212,
+    "xeon-gold-6240/C4": 1.006,
+    "xeon-gold-6240/C6": 7.154,
+    "a100/G1": 0.417,
+    "a100/G4": 0.298,
+    "a100/C4": 0.846,
+    "a100/C6": 0.326,
+    "ascend-910/G1": 2.840,
+    "ascend-910/G4": 3.105,
+    "ascend-910/C4": 11.745,
+    "ascend-910/C6": 55.853,
+}
+
 FULL_GATE = 5.0
 SMOKE_WORKLOADS = ("G1", "C4")
 SMOKE_PRESETS = ("xeon-gold-6240", "a100")
@@ -59,77 +76,40 @@ def _build(name):
     return conv_chain_config(name).build()
 
 
-@contextlib.contextmanager
-def _seed_solver():
-    """Emulate the pre-tables solver (finite differences, raw scaling)."""
-    previous = solver._ANALYTIC_JAC
-    solver._ANALYTIC_JAC = False
-    try:
-        yield
-    finally:
-        solver._ANALYTIC_JAC = previous
-
-
-def _cold_compile(chain, hw, engine):
+def _cold_compile_s(chain, hw):
     solve_memo().clear()
     clear_tables_memo()
     reset_search_stats()
-    optimizer = ChimeraOptimizer(
-        hw, policy=SearchPolicy.exhaustive(), engine=engine
-    )
+    optimizer = ChimeraOptimizer(hw, policy=SearchPolicy.exhaustive())
     started = time.perf_counter()
-    plan = optimizer.optimize(chain)
-    return plan, time.perf_counter() - started
-
-
-def _timed(chain, hw, engine, rounds):
-    best_s, plan = float("inf"), None
-    for _ in range(rounds):
-        plan, elapsed = _cold_compile(chain, hw, engine)
-        best_s = min(best_s, elapsed)
-    return plan, best_s
+    optimizer.optimize(chain)
+    return time.perf_counter() - started
 
 
 def run_experiment(smoke=False):
-    workloads = SMOKE_WORKLOADS if smoke else FULL_WORKLOADS
-    presets = [
-        hw
-        for hw in all_presets()
-        if not smoke or hw.name in SMOKE_PRESETS
-    ]
     gate = SMOKE_GATE if smoke else FULL_GATE
 
     cells = {}
     rows = []
-    for hw in presets:
-        for name in workloads:
-            chain = _build(name)
-            with _seed_solver():
-                _, baseline_s = _timed(chain, hw, "scalar", rounds=1)
-            tables_plan, tables_s = _timed(chain, hw, "tables", rounds=2)
-            scalar_plan, scalar_s = _timed(chain, hw, "scalar", rounds=2)
-            tables_json = json.dumps(plan_to_dict(tables_plan),
-                                     sort_keys=True)
-            scalar_json = json.dumps(plan_to_dict(scalar_plan),
-                                     sort_keys=True)
-            assert tables_json == scalar_json, (
-                f"tables plan diverged from the scalar reference on "
-                f"{hw.name}/{name}"
-            )
-            cell = f"{hw.name}/{name}"
-            cells[cell] = {
-                "baseline_s": baseline_s,
-                "tables_s": tables_s,
-                "scalar_s": scalar_s,
-                "speedup": baseline_s / tables_s,
-            }
-            rows.append([
-                cell,
-                f"{baseline_s * 1e3:.0f} ms",
-                f"{tables_s * 1e3:.0f} ms",
-                f"{scalar_s * 1e3:.0f} ms",
-                f"{baseline_s / tables_s:.1f}x",
-            ])
+    for cell, baseline_s in FD_BASELINE_S.items():
+        hw_name, name = cell.split("/")
+        if smoke and (
+            hw_name not in SMOKE_PRESETS or name not in SMOKE_WORKLOADS
+        ):
+            continue
+        chain, hw = _build(name), preset(hw_name)
+        tables_s = min(_cold_compile_s(chain, hw) for _ in range(2))
+        cells[cell] = {
+            "baseline_s": baseline_s,
+            "tables_s": tables_s,
+            "speedup": baseline_s / tables_s,
+        }
+        rows.append([
+            cell,
+            f"{baseline_s * 1e3:.0f} ms",
+            f"{tables_s * 1e3:.0f} ms",
+            f"{baseline_s / tables_s:.1f}x",
+        ])
 
     baseline_total = sum(c["baseline_s"] for c in cells.values())
     tables_total = sum(c["tables_s"] for c in cells.values())
@@ -146,12 +126,10 @@ def run_experiment(smoke=False):
         "aggregate",
         f"{baseline_total * 1e3:.0f} ms",
         f"{tables_total * 1e3:.0f} ms",
-        "",
         f"{aggregate:.1f}x",
     ])
     text = render_table(
-        ["cell", "baseline (FD, scalar)", "tables", "scalar (ref)",
-         "speedup"],
+        ["cell", "baseline (FD, recorded)", "tables", "speedup"],
         rows,
     )
     return payload, text

@@ -375,22 +375,12 @@ def _render_search_stats(stats: dict) -> str:
 
 
 def _cmd_search_stats(args: argparse.Namespace) -> int:
-    import os
-
     from .core.search import (
         SearchPolicy,
         reset_search_stats,
         search_stats_snapshot,
         solve_memo,
     )
-    from .core.tables import resolve_model_engine
-
-    if args.engine:
-        # Validate eagerly (a typo should fail before compiling anything),
-        # then let every solve in this process pick the engine up from the
-        # environment — the CLI compiles through the shared pipeline.
-        resolve_model_engine(args.engine)
-        os.environ["REPRO_MODEL_ENGINE"] = args.engine
 
     hw = preset(args.hw)
     policy = SearchPolicy(
@@ -631,10 +621,6 @@ def main(argv: Optional[list] = None) -> int:
                         help="disable solve memoization")
     search.add_argument("--workers", type=int, default=1,
                         help="process-pool width for surviving orders")
-    search.add_argument("--engine", default=None,
-                        choices=["scalar", "tables"],
-                        help="movement-model engine (default: the "
-                             "REPRO_MODEL_ENGINE environment)")
     search.set_defaults(fn=_cmd_search_stats)
 
     args = parser.parse_args(argv)

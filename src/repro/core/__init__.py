@@ -57,9 +57,7 @@ from .solver import TileSolution, gemm_chain_closed_form, solve_tiles
 from .tables import (
     MovementTables,
     clear_tables_memo,
-    model_engine,
     movement_tables,
-    resolve_model_engine,
     tables_memo_stats,
 )
 
@@ -111,8 +109,6 @@ __all__ = [
     "solve_tiles",
     "MovementTables",
     "clear_tables_memo",
-    "model_engine",
     "movement_tables",
-    "resolve_model_engine",
     "tables_memo_stats",
 ]

@@ -459,7 +459,7 @@ class MovementModel:
         This is the reference form of the analytic gradient the tile-size
         solver feeds SLSQP; :class:`repro.core.tables.MovementTables`
         evaluates the exact same operation sequence over precompiled
-        arrays, so the two engines agree bit for bit.  Per term::
+        arrays, so this method is its bit-exact test oracle.  Per term::
 
             dm = elem_bytes * prod_d span_d * prod_l max(L_l/T_l, 1)
             d dm/dT_j = dm * (sum_d c_dj/span_d - [j movement-active]/T_j)
@@ -498,7 +498,7 @@ class MovementModel:
 
         MU is a max over operators; the returned gradient is the gradient
         of the first operator attaining the peak (the standard subgradient
-        choice, applied identically by both model engines).  Loops pinned
+        choice, applied identically by the compiled tables).  Loops pinned
         at full extent by a distribution buffer contribute zero — their
         effective tile does not vary with ``T``.
         """

@@ -17,9 +17,7 @@ the model is fully analytical:
 * **Communication** (:func:`comm_volume_bytes`) counts the link traffic
   the shard causes — replicated inputs broadcast to every core, gathered
   intermediates a loop-free consumer needs whole, and halo overlap of
-  sliding-window reads — as exact integers, evaluated per candidate
-  ``p`` either by the scalar reference loop or batched with numpy (the
-  tables engine), bit-identically.
+  sliding-window reads — as exact Python integers, per candidate ``p``.
 * **Placement search** (:func:`best_partitioned_plan`) enumerates
   ``p ∈ {1, 2, 4, ..., num_cores}`` x partitionable loops, pruning with
   an admissible lower bound (compulsory DRAM traffic, shard compute,
@@ -37,15 +35,12 @@ import math
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..hardware.spec import HardwareSpec
 from ..ir.chain import OperatorChain
 from ..ir.loops import Loop
 from .optimizer import ChimeraConfig, ChimeraOptimizer
 from .plan import CorePartition, FusionPlan
 from .search import SearchPolicy
-from .tables import ENGINE_TABLES, resolve_model_engine
 
 #: Environment knob forcing a single partition count (requires a link).
 ENV_CORES = "REPRO_CORES"
@@ -248,7 +243,7 @@ def _comm_components(chain: OperatorChain, loop_name: str):
     return replicated, gathered, halo_terms
 
 
-def _halo_overlap_scalar(term, full_extent: int, p: int) -> int:
+def _halo_overlap(term, full_extent: int, p: int) -> int:
     """Overlap elements of one sliding-window read at partition ``p``."""
     elem, dims = term
     eprime = shard_extent(full_extent, p)
@@ -264,36 +259,15 @@ def comm_volume_bytes(
     chain: OperatorChain,
     loop_name: str,
     cores: Sequence[int],
-    engine: Optional[str] = None,
 ) -> Tuple[int, ...]:
-    """Total link bytes per candidate partition count.
-
-    The scalar engine loops over ``cores``; the tables engine evaluates
-    the whole candidate row batched in numpy — same integer arithmetic,
-    bit-identical results (the equivalence gates rely on it).
-    """
+    """Total link bytes per candidate partition count (exact integers)."""
     replicated, gathered, halo_terms = _comm_components(chain, loop_name)
     full = chain.loop_extents()[loop_name]
-    if resolve_model_engine(engine) == ENGINE_TABLES:
-        ps = np.asarray(list(cores), dtype=np.int64)
-        totals = (ps - 1) * np.int64(replicated + gathered)
-        eprime = -(-np.int64(full) // ps)
-        for elem, dims in halo_terms:
-            shard_elems = np.ones_like(ps)
-            full_elems = np.int64(1)
-            for base, coeff in dims:
-                shard_elems = shard_elems * (base + coeff * (eprime - 1))
-                full_elems = full_elems * np.int64(
-                    base + coeff * (full - 1)
-                )
-            overlap = np.maximum(np.int64(0), ps * shard_elems - full_elems)
-            totals = totals + np.int64(elem) * overlap
-        return tuple(int(v) for v in totals)
     results = []
     for p in cores:
         total = (p - 1) * (replicated + gathered)
         for term in halo_terms:
-            total += _halo_overlap_scalar(term, full, p)
+            total += _halo_overlap(term, full, p)
         results.append(total)
     return tuple(results)
 
@@ -317,7 +291,7 @@ def comm_steps(
     replicated, gathered, halo_terms = _comm_components(chain, loop_name)
     full = chain.loop_extents()[loop_name]
     phases = int(replicated > 0) + int(gathered > 0)
-    if any(_halo_overlap_scalar(t, full, p) > 0 for t in halo_terms):
+    if any(_halo_overlap(t, full, p) > 0 for t in halo_terms):
         phases += 1
     return phases * link.collective_steps(p)
 
@@ -354,14 +328,12 @@ def best_partitioned_plan(
     hardware: HardwareSpec,
     config: Optional[ChimeraConfig] = None,
     policy: Optional[SearchPolicy] = None,
-    engine: Optional[str] = None,
     incumbent_time: float = math.inf,
 ) -> Optional[FusionPlan]:
     """Best block-to-core placement of the fused chain, or ``None``.
 
     Enumerates candidate core counts x partitionable loops.  For each
-    placement the comm term is computed exactly (batched across the
-    whole candidate row by the tables engine), an admissible lower bound
+    placement the comm term is computed exactly, an admissible lower bound
     prunes placements that cannot beat the incumbent, and survivors pay
     a full per-level solve with shared capacity tightened to the
     ``1/p`` share.  Ties keep the earlier candidate (smaller ``p``,
@@ -382,12 +354,11 @@ def best_partitioned_plan(
         return None
 
     extents = chain.loop_extents()
-    optimizer = ChimeraOptimizer(hardware, config, policy=policy,
-                                 engine=engine)
+    optimizer = ChimeraOptimizer(hardware, config, policy=policy)
     best: Optional[FusionPlan] = None
     best_time = incumbent_time
     for loop_name in loops:
-        volumes = comm_volume_bytes(chain, loop_name, factors, engine)
+        volumes = comm_volume_bytes(chain, loop_name, factors)
         for p, volume in zip(factors, volumes):
             steps = comm_steps(chain, loop_name, hardware, p, volume)
             comm_time = (

@@ -58,20 +58,16 @@ def solve_hierarchy(
     capacity_utilization: float = 0.75,
     policy: Optional[SearchPolicy] = None,
     stats: Optional[SearchStats] = None,
-    engine: Optional[str] = None,
     hint: Optional[PlanHint] = None,
 ) -> List[LevelSchedule]:
     """Solve tile sizes for every on-chip level under one block order.
 
     Solves are memoized under the exact permutation (ablations comparing
     symmetric orders still report their own order) when ``policy`` allows;
-    ``constraints_token`` keeps constrained solves memoizable.  Every
-    level's solve runs on the same model ``engine`` (``scalar``/``tables``,
-    ``None`` defers to ``REPRO_MODEL_ENGINE``); the engines return
-    bit-identical schedules.  ``hint`` (a neighboring shape's per-level
-    tiles) warm-starts each level's solve without changing its result —
-    the solver's canonical descent collapses the DV-flat ridge, so, like
-    the engine, the hint stays out of the memo key.
+    ``constraints_token`` keeps constrained solves memoizable.  ``hint``
+    (a neighboring shape's per-level tiles) warm-starts each level's
+    solve without changing its result — the solver's canonical descent
+    collapses the DV-flat ridge, so the hint stays out of the memo key.
 
     Returns:
         schedules innermost-first (matching ``HardwareSpec.on_chip_levels``).
@@ -99,7 +95,6 @@ def solve_hierarchy(
             policy=policy,
             digest=digest,
             stats=stats,
-            engine=engine,
             x0_hint=(
                 None if level_hint is None else dict(level_hint.tiles)
             ),

@@ -38,7 +38,7 @@ from .search import (
     search_tiles,
 )
 from .solver import ConstraintFn
-from .tables import ENGINE_TABLES, movement_tables, resolve_model_engine
+from .tables import movement_tables
 from .warmstart import PlanHint
 
 
@@ -95,15 +95,14 @@ class UnifiedBufferConstraint:
     def gradient(self, tiles: Mapping[str, float]) -> Dict[str, float]:
         """Partials of ``__call__`` — the analytic SLSQP jacobian.
 
-        Exposing this method opts the constraint into analytic jacobians
-        in *both* model engines (the decision keys on ``hasattr``, so
-        scalar and tables runs take the same solver trajectory).  The
-        footprint is a product of affine spans, hence per loop::
+        Exposing this method opts the constraint into analytic SLSQP
+        jacobians (the solver keys on ``hasattr``).  The footprint is a
+        product of affine spans, hence per loop::
 
             d usage / dT_l = footprint_bytes * sum_d coeff_dl / span_d
 
         computed in the exact operation order
-        :class:`repro.core.tables.MovementTables` replays, so the engines
+        :class:`repro.core.tables.MovementTables` replays, so the two
         agree bit for bit.  Loops absent from the accesses are omitted
         (callers default them to zero).
         """
@@ -169,7 +168,6 @@ class ChimeraOptimizer:
         hardware: HardwareSpec,
         config: Optional[ChimeraConfig] = None,
         policy: Optional[SearchPolicy] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self.hardware = hardware
         self.config = config or ChimeraConfig()
@@ -177,10 +175,6 @@ class ChimeraOptimizer:
         # answer, so it lives outside ChimeraConfig (and outside plan-cache
         # keys).  None defers to the REPRO_SEARCH_* environment.
         self.policy = policy or SearchPolicy.from_env()
-        # Likewise the model engine (scalar reference vs compiled tables):
-        # both return bit-identical plans, so it is a speed knob only.
-        # None defers to REPRO_MODEL_ENGINE at call time.
-        self.engine = engine
         self.last_stats: Optional[OptimizeStats] = None
 
     # ------------------------------------------------------------------
@@ -322,7 +316,6 @@ class ChimeraOptimizer:
                     stats=search_stats,
                     digest=digest,
                     executor=executor,
-                    engine=self.engine,
                     x0_hint=(
                         None
                         if level_hint is None
@@ -407,7 +400,6 @@ class ChimeraOptimizer:
             starts=self.config.starts,
             capacity_utilization=self.config.capacity_utilization,
             policy=self.policy,
-            engine=self.engine,
             hint=hint,
         )
         flops = executed_flops(chain, model.perm, schedules[0].tiles)
@@ -468,30 +460,17 @@ class ChimeraOptimizer:
                                     min(bound, side)))
         # Ties break on the canonical order tuple, not the enumeration
         # index: the index shifts under ``max_orders`` stride sampling.
-        # Both engines score every candidate with the same floats, so the
-        # ranking is engine-independent.
-        if resolve_model_engine(self.engine) == ENGINE_TABLES:
-            row = movement_tables(models[0]).row_of(probe)
-            scored = [
-                (
-                    0 if tables.usage_row(row) <= capacity else 1,
-                    tables.volume_row(row, exact=False),
-                    model.perm,
-                    model,
-                )
-                for model in models
-                for tables in (movement_tables(model),)
-            ]
-        else:
-            scored = [
-                (
-                    0 if model.usage(probe) <= capacity else 1,
-                    model.volume(probe, exact=False),
-                    model.perm,
-                    model,
-                )
-                for model in models
-            ]
+        row = movement_tables(models[0]).row_of(probe)
+        scored = [
+            (
+                0 if tables.usage_row(row) <= capacity else 1,
+                tables.volume_row(row, exact=False),
+                model.perm,
+                model,
+            )
+            for model in models
+            for tables in (movement_tables(model),)
+        ]
         scored.sort(key=lambda item: (item[0], item[1], item[2]))
         return [model for _, _, _, model in scored]
 

@@ -59,9 +59,7 @@ class CorePartition:
 
     Records how a fused chain was split over ``cores`` cores along one
     spatial ``loop``, and the inter-core traffic that split causes.  The
-    byte and step counts are exact integers (computed identically by the
-    scalar and tables engines), so two engines agreeing on a partition
-    agree bit-for-bit.
+    byte and step counts are exact integers.
 
     Attributes:
         cores: number of cores the chain is sharded over (p).

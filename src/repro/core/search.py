@@ -62,12 +62,7 @@ import numpy as np
 from ..ir.chain import OperatorChain
 from .movement import MovementModel
 from .solver import ConstraintFn, TileSolution, solve_tiles
-from .tables import (
-    ENGINE_TABLES,
-    TablesEvaluator,
-    resolve_model_engine,
-    tables_memo_stats,
-)
+from .tables import TablesEvaluator, movement_tables, tables_memo_stats
 
 #: Environment knobs honoured by :meth:`SearchPolicy.from_env`.
 ENV_WORKERS = "REPRO_SEARCH_WORKERS"
@@ -188,27 +183,11 @@ def chain_digest(chain: OperatorChain) -> str:
     return hashlib.sha256(pickle.dumps(chain)).hexdigest()
 
 
-def _ones(model: MovementModel) -> Dict[str, float]:
-    return {name: 1.0 for name in model.chain.loop_extents()}
-
-
-def _fits(
-    model: MovementModel,
-    tiles: Mapping[str, float],
-    capacity: float,
-    constraints: Sequence[ConstraintFn],
-) -> bool:
-    if model.usage(tiles) > capacity:
-        return False
-    return all(fn(tiles) <= 0 for fn in constraints)
-
-
 def upper_tile_bounds(
     model: MovementModel,
     capacity: float,
     constraints: Sequence[ConstraintFn] = (),
     max_parent: Optional[Mapping[str, int]] = None,
-    engine: Optional[str] = None,
 ) -> Optional[Dict[str, int]]:
     """Per-loop capacity-relaxed maximum tiles, or ``None`` if nothing fits.
 
@@ -220,64 +199,15 @@ def upper_tile_bounds(
     box relaxation of the feasible region.  ``None`` means even all-ones
     tiles violate a constraint: no feasible assignment exists at all.
 
-    Under the tables engine the per-loop binary searches run in lockstep:
-    one batched MU evaluation per bisection step covers every still-active
-    loop, instead of one scalar MU call per loop per step.  The probe
-    points — and therefore the bounds — are identical to the scalar path.
-    """
-    if resolve_model_engine(engine) == ENGINE_TABLES:
-        return _upper_tile_bounds_tables(model, capacity, constraints, max_parent)
-    extents = model.chain.loop_extents()
-    parent = max_parent or {}
-    probe = _ones(model)
-    if not _fits(model, probe, capacity, constraints):
-        return None
-    bounds: Dict[str, int] = {}
-    for name in model.perm:
-        hi = max(1, min(extents[name], parent.get(name, extents[name])))
-        probe[name] = float(hi)
-        if _fits(model, probe, capacity, constraints):
-            bounds[name] = hi
-        else:
-            lo = 1
-            while hi - lo > 1:  # invariant: lo fits, hi does not
-                mid = (lo + hi) // 2
-                probe[name] = float(mid)
-                if _fits(model, probe, capacity, constraints):
-                    lo = mid
-                else:
-                    hi = mid
-            bounds[name] = lo
-        probe[name] = 1.0
-    return bounds
-
-
-def _upper_tile_bounds_tables(
-    model: MovementModel,
-    capacity: float,
-    constraints: Sequence[ConstraintFn],
-    max_parent: Optional[Mapping[str, int]],
-) -> Optional[Dict[str, int]]:
-    """Batched twin of the scalar :func:`upper_tile_bounds` loop.
-
-    The per-loop searches are independent, so every bisection step probes
-    all still-active loops with one ``(N, L)`` MU batch.  Invariants (lo
-    fits, hi does not) and midpoints match the scalar loop exactly.
+    The per-loop binary searches are independent, so they run in
+    lockstep: every bisection step probes all still-active loops with one
+    ``(N, L)`` MU batch (invariant: ``lo`` fits, ``hi`` does not).
     """
     extents = model.chain.loop_extents()
     parent = max_parent or {}
     names = list(model.perm)
     width = len(names)
-    if not width:
-        # Degenerate chain (every loop extent 1): nothing to bound, the
-        # all-ones probe alone decides feasibility.
-        probe = _ones(model)
-        return {} if _fits(model, probe, capacity, constraints) else None
-    # Bound probes only use the batched (interpreted numpy) paths, so
-    # skip row-kernel codegen: paying per-candidate generation for all
-    # enumerated orders — most of which the bound then prunes — used to
-    # dominate the whole pruning pass.
-    evaluator = TablesEvaluator(model, names, constraints, fast_kernels=False)
+    evaluator = TablesEvaluator(model, names, constraints)
 
     def fits(values: np.ndarray) -> np.ndarray:
         return (
@@ -320,7 +250,6 @@ def dv_lower_bound(
     capacity: float,
     constraints: Sequence[ConstraintFn] = (),
     max_parent: Optional[Mapping[str, int]] = None,
-    engine: Optional[str] = None,
 ) -> float:
     """Admissible lower bound on the DV of any feasible tile assignment.
 
@@ -332,14 +261,11 @@ def dv_lower_bound(
     order admits no feasible tiles — such candidates only lose to a
     feasible incumbent, so pruning them is exact as well.
     """
-    bounds = upper_tile_bounds(
-        model, capacity, constraints, max_parent, engine=engine
-    )
+    bounds = upper_tile_bounds(model, capacity, constraints, max_parent)
     if bounds is None:
         return math.inf
-    tiles = _ones(model)
-    tiles.update({name: float(t) for name, t in bounds.items()})
-    return model.volume(tiles, exact=True)
+    tables = movement_tables(model)
+    return tables.volume_row(tables.row_of(bounds))
 
 
 def dv_lower_bounds(
@@ -347,18 +273,14 @@ def dv_lower_bounds(
     capacity: float,
     constraints: Sequence[ConstraintFn] = (),
     max_parent: Optional[Mapping[str, int]] = None,
-    engine: Optional[str] = None,
 ) -> List[float]:
     """:func:`dv_lower_bound` across candidate orders (the pruning pass).
 
-    Resolves the engine once; under the tables engine every order's bound
-    runs its bisections batched, so the whole pass costs a handful of
-    numpy evaluations per order instead of ``O(loops x log(extent))``
-    scalar model calls.
+    Every order's bound runs its bisections batched, so the whole pass
+    costs a handful of numpy evaluations per order.
     """
-    engine = resolve_model_engine(engine)
     return [
-        dv_lower_bound(model, capacity, constraints, max_parent, engine=engine)
+        dv_lower_bound(model, capacity, constraints, max_parent)
         for model in models
     ]
 
@@ -512,12 +434,11 @@ def _best_result(
 def _solve_payload(payload: Tuple) -> TileSolution:
     """Top-level worker entry (must be picklable for the process pool).
 
-    The engine travels in the payload: worker processes must solve with
-    the engine the parent resolved, not re-read their own environment.
-    So does the warm-start hint (a plain dict of floats, picklable).
+    The warm-start hint travels in the payload (a plain dict of floats,
+    picklable).
     """
     (model, capacity, min_tiles, quanta, constraints, max_parent, starts,
-     hard_min_tiles, engine, x0_hint) = payload
+     hard_min_tiles, x0_hint) = payload
     return solve_tiles(
         model,
         capacity,
@@ -527,7 +448,6 @@ def _solve_payload(payload: Tuple) -> TileSolution:
         max_parent=max_parent,
         starts=starts,
         hard_min_tiles=hard_min_tiles,
-        engine=engine,
         x0_hint=x0_hint,
     )
 
@@ -545,18 +465,16 @@ class _Solver:
         digest: Optional[str],
         constraints_token: Optional[Hashable],
         memo: SolveMemo,
-        engine: str,
         x0_hint: Optional[Mapping[str, float]] = None,
     ) -> None:
         self.capacity = capacity
         self.kwargs = solve_kwargs
-        self.engine = engine
         # The warm-start hint travels to every solve but stays OUT of the
         # memo key: a hinted solve converges somewhere on the same
         # DV-flat ridge as the multi-start sweep, and the solver's
         # canonical descent collapses every ridge point to one integer
-        # solution — so, like the engine, the hint changes how fast a
-        # solve runs, never what it returns.
+        # solution — so the hint changes how fast a solve runs, never
+        # what it returns.
         self.x0_hint = dict(x0_hint) if x0_hint else None
         self.policy = policy
         self.stats = stats
@@ -604,7 +522,6 @@ class _Solver:
             self.kwargs.get("max_parent"),
             self.kwargs.get("starts", 4),
             self.kwargs.get("hard_min_tiles"),
-            self.engine,
             self.x0_hint,
         )
 
@@ -711,7 +628,6 @@ def search_tiles(
     stats: Optional[SearchStats] = None,
     digest: Optional[str] = None,
     executor: Optional[concurrent.futures.Executor] = None,
-    engine: Optional[str] = None,
     x0_hint: Optional[Mapping[str, float]] = None,
     incumbent_hint: Optional[Sequence[str]] = None,
 ) -> Tuple[MovementModel, TileSolution]:
@@ -732,10 +648,6 @@ def search_tiles(
             otherwise one is created per call when ``policy.workers > 1``.
         stats: accumulator to fill (also folded into the process-global
             aggregate).
-        engine: model evaluation engine for bounds and solves; ``None``
-            defers to ``REPRO_MODEL_ENGINE``.  Like ``policy``, the engine
-            changes how fast the search runs, never what it returns, so it
-            stays out of the memo key.
         x0_hint: warm-start tiles forwarded to every candidate's
             :func:`solve_tiles` call (loop names are shared across orders
             of one chain, so a neighbor's tile magnitudes transfer).  The
@@ -756,7 +668,6 @@ def search_tiles(
     if not models:
         raise ValueError("search_tiles needs at least one candidate model")
     policy = policy or SearchPolicy.from_env()
-    engine = resolve_model_engine(engine)
     local = SearchStats(searches=1, candidates=len(models))
     if digest is None and policy.memoize:
         digest = chain_digest(models[0].chain)
@@ -776,15 +687,12 @@ def search_tiles(
         digest=digest,
         constraints_token=constraints_token,
         memo=_GLOBAL_MEMO,
-        engine=engine,
         x0_hint=x0_hint,
     )
 
     if policy.prune:
         started = time.perf_counter()
-        bounds = dv_lower_bounds(
-            models, capacity, constraints, max_parent, engine=engine
-        )
+        bounds = dv_lower_bounds(models, capacity, constraints, max_parent)
         bounded = list(zip(bounds, models))
         local.bound_evals += len(bounded)
         local.bound_seconds += time.perf_counter() - started
@@ -881,16 +789,14 @@ def memoized_solve_tiles(
     policy: Optional[SearchPolicy] = None,
     digest: Optional[str] = None,
     stats: Optional[SearchStats] = None,
-    engine: Optional[str] = None,
     x0_hint: Optional[Mapping[str, float]] = None,
 ) -> TileSolution:
     """Memo-aware :func:`solve_tiles` for fixed-order solves.
 
     Keyed on the exact permutation (not the signature), so ablation paths
     that deliberately compare symmetric orders still solve under their own
-    order while repeated solves of the same order hit the memo.  The
-    engine is not part of the key (both engines return bit-identical
-    solutions), and neither is ``x0_hint`` — the solver canonicalizes the
+    order while repeated solves of the same order hit the memo.
+    ``x0_hint`` is not part of the key — the solver canonicalizes the
     refined integer point across the DV-flat ridge, so a warm start
     changes solve latency, never the solution.
     """
@@ -930,7 +836,6 @@ def memoized_solve_tiles(
             max_parent=max_parent,
             starts=starts,
             hard_min_tiles=hard_min_tiles,
-            engine=engine,
             x0_hint=x0_hint,
         )
         local.solves += 1

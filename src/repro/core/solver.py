@@ -13,19 +13,17 @@ This module implements the same recipe for *arbitrary* chains:
   feed SLSQP *analytic* log-space gradients (Algorithm 1 is a product of
   affine spans, so the partials are closed-form) instead of finite
   differences, which removes the dominant cost of a cold compile;
-* DV/MU evaluation goes through :mod:`repro.core.tables` — either the
-  scalar reference engine or the compiled tables engine
-  (``REPRO_MODEL_ENGINE``).  Both engines execute the same floating-point
-  operation sequence, so the solver trajectory — and the returned plan —
-  is bit-identical between them;
+* DV/MU evaluation goes through the compiled tables of
+  :mod:`repro.core.tables`, which replay :class:`MovementModel`'s exact
+  floating-point operation sequence (the model stays the test oracle);
 * the closed-form GEMM-chain solution the paper derives analytically is
   provided separately (:func:`gemm_chain_closed_form`) and used by tests to
   validate the numeric path;
 * integer refinement evaluates the floor/ceil lattice around the continuous
   optimum with the *exact* (ceil-based) DV and the exact MU, honouring
-  per-loop minimum tiles and quanta imposed by the micro kernels.  Under
-  the tables engine the whole lattice is scored in one batched
-  ``volume_batch``/``usage_batch`` call;
+  per-loop minimum tiles and quanta imposed by the micro kernels.  The
+  whole lattice is scored in one batched ``volume_batch``/``usage_batch``
+  call;
 * the refined point is then **canonicalized** by a deterministic cyclic
   per-coordinate scan to the minimum of ``(DV, MU, tile)`` over each
   loop's aligned tile range (:func:`_canonical_descent`).  The exact
@@ -42,7 +40,6 @@ This module implements the same recipe for *arbitrary* chains:
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -50,24 +47,15 @@ import numpy as np
 from scipy import optimize
 
 from .movement import MovementModel
-from .tables import TablesEvaluator, evaluator_for, resolve_model_engine
+from .tables import TablesEvaluator, evaluator_for
 
 ConstraintFn = Callable[[Mapping[str, float]], float]
 """Extra feasibility predicate: returns (usage - capacity); <= 0 is feasible."""
 
-#: Diagnostic escape hatch: set False to emulate the pre-tables solver —
-#: SLSQP falls back to finite differences and the constraints are fed in
-#: raw byte units (the seed's ill-conditioned scaling).  Benchmarks use it
-#: to measure the baseline this PR replaces; production paths must leave
-#: it True — both engines share the analytic-gradient trajectory, and that
-#: sharing is what makes their plans byte-identical.
-_ANALYTIC_JAC = True
-
 #: Largest 2-D grid the canonical descent's pairwise pass will score.
 #: Depends only on bounds and quanta — never on where SLSQP landed — so
 #: skipping an oversized pair is itself start-invariant.  4096 rows is one
-#: cheap batched evaluation under the tables engine and keeps the scalar
-#: reference loop bounded.
+#: cheap batched evaluation.
 _PAIR_SCAN_CAP = 4096
 
 
@@ -91,17 +79,6 @@ class TileSolution:
     continuous: Dict[str, float]
 
 
-def _feasible(
-    model: MovementModel,
-    tiles: Mapping[str, float],
-    capacity: float,
-    constraints: Sequence[ConstraintFn],
-) -> bool:
-    if model.usage(tiles) > capacity:
-        return False
-    return all(fn(tiles) <= 0 for fn in constraints)
-
-
 def _full_tiles(model: MovementModel, tiles: Mapping[str, int]) -> Dict[str, int]:
     """Extend solved tiles with tile=1 for degenerate (omitted) loops."""
     extents = model.chain.loop_extents()
@@ -120,7 +97,6 @@ def solve_tiles(
     max_parent: Optional[Mapping[str, int]] = None,
     starts: int = 4,
     hard_min_tiles: Optional[Mapping[str, int]] = None,
-    engine: Optional[str] = None,
     x0_hint: Optional[Mapping[str, float]] = None,
 ) -> TileSolution:
     """Minimize DV(S) s.t. MU(S) <= capacity for one movement model.
@@ -145,9 +121,6 @@ def solve_tiles(
         starts: number of deterministic multi-start points for SLSQP.
         hard_min_tiles: lower bounds that are never relaxed (the outer-level
             pins on producer-private reductions).
-        engine: model evaluation engine (``scalar``/``tables``); ``None``
-            defers to ``REPRO_MODEL_ENGINE``.  Both engines return
-            bit-identical solutions.
         x0_hint: warm-start tile vector (e.g. a neighboring shape's solved
             tiles).  When given, the continuous SLSQP stage is skipped
             entirely: the hint — clipped into bounds and projected
@@ -166,21 +139,13 @@ def solve_tiles(
         the best feasible integer solution found; ``feasible=False`` with
         all-ones tiles if even the smallest legal tiles exceed capacity.
     """
-    engine = resolve_model_engine(engine)
     chain = model.chain
     extents = chain.loop_extents()
     names = [n for n in model.perm]
     min_tiles = dict(min_tiles or {})
     hard_min_tiles = dict(hard_min_tiles or {})
     quanta = dict(quanta or {})
-    # A warm-started solve converges in a handful of SLSQP iterations, too
-    # few to amortize per-model row-kernel codegen — start interpreted and
-    # generate the kernels only if the hint fails and the multi-start
-    # sweep (thousands of evaluations) has to run.  Both paths are
-    # bit-identical (tables module contract), so this is latency-only.
-    evaluator = evaluator_for(
-        model, names, constraints, engine, fast_kernels=not x0_hint
-    )
+    evaluator = evaluator_for(model, names, constraints)
 
     upper_src = max_parent or {}
     upper = np.array(
@@ -197,20 +162,22 @@ def solve_tiles(
         # never exceed its parent tile.
         return np.minimum(np.array(values, dtype=float), upper)
 
-    if not names:
-        tiles = _full_tiles(model, {})
-        dv = model.volume(tiles, exact=True)
-        mu = model.usage(tiles)
-        return TileSolution(
-            tiles, dv, mu, _feasible(model, tiles, capacity, constraints), {}
-        )
-
     def fits_vector(values: np.ndarray) -> bool:
         if evaluator.usage(values) > capacity:
             return False
         return all(
             evaluator.constraint(i, values) <= 0
             for i in range(len(constraints))
+        )
+
+    if not names:
+        values = np.ones(0)
+        return TileSolution(
+            _full_tiles(model, {}),
+            float(evaluator.volume_exact_batch(values.reshape(1, 0))[0]),
+            evaluator.usage(values),
+            fits_vector(values),
+            {},
         )
 
     lower = lower_for(min_tiles)
@@ -248,9 +215,8 @@ def solve_tiles(
     # capacity) so the merit function sees an O(1) violation scale next to
     # the O(1) log-volume objective.  Raw byte-valued slacks (~1e5..1e8)
     # make SLSQP's L1 penalty wildly ill-conditioned and its line search
-    # backtrack for most of the iteration budget.  The seed-emulation
-    # baseline keeps the raw scale (together with finite differences).
-    inv_capacity = 1.0 / capacity if capacity > 0 and _ANALYTIC_JAC else 1.0
+    # backtrack for most of the iteration budget.
+    inv_capacity = 1.0 / capacity if capacity > 0 else 1.0
 
     def capacity_slack(x: np.ndarray) -> float:
         return (capacity - evaluator.usage(values_at(x))) * inv_capacity
@@ -277,10 +243,6 @@ def solve_tiles(
                 * inv_capacity
             )
         cons.append(entry)
-    if not _ANALYTIC_JAC:  # finite-difference baseline (benchmarks only)
-        cons = [
-            {k: v for k, v in entry.items() if k != "jac"} for entry in cons
-        ]
 
     log_lower, log_upper = np.log(lower), np.log(upper)
     bounds = list(zip(log_lower, log_upper))
@@ -291,27 +253,15 @@ def solve_tiles(
     def attempt(x0: np.ndarray) -> None:
         nonlocal best_x, best_val
         try:
-            if _ANALYTIC_JAC:
-                res = optimize.minimize(
-                    objective,
-                    x0,
-                    jac=True,
-                    method="SLSQP",
-                    bounds=bounds,
-                    constraints=cons,
-                    options={"maxiter": 200, "ftol": 1e-9},
-                )
-            else:
-                res = optimize.minimize(
-                    lambda x: math.log(
-                        max(evaluator.volume_smooth(np.exp(x)), 1.0)
-                    ),
-                    x0,
-                    method="SLSQP",
-                    bounds=bounds,
-                    constraints=cons,
-                    options={"maxiter": 200, "ftol": 1e-9},
-                )
+            res = optimize.minimize(
+                objective,
+                x0,
+                jac=True,
+                method="SLSQP",
+                bounds=bounds,
+                constraints=cons,
+                options={"maxiter": 200, "ftol": 1e-9},
+            )
         except (ValueError, RuntimeError):
             return
         if res.x is None:
@@ -360,8 +310,6 @@ def solve_tiles(
             return hinted
 
     # Cold path — and the fallback when the hinted refinement fails.
-    if x0_hint and isinstance(evaluator, TablesEvaluator):
-        evaluator.ensure_fast_kernels()
     for start_idx in range(max(1, starts)):
         frac = start_idx / max(1, starts - 1) if starts > 1 else 0.5
         x0 = log_lower + frac * (log_upper - log_lower)
@@ -466,7 +414,7 @@ def _canonical_descent(
     upper: np.ndarray,
     quanta: Mapping[str, int],
     constraints: Sequence[ConstraintFn],
-    evaluator=None,
+    evaluator: TablesEvaluator,
     max_passes: int = 16,
 ) -> Tuple[float, float, Dict[str, int]]:
     """Collapse a feasible integer point to its canonical ridge corner.
@@ -492,12 +440,9 @@ def _canonical_descent(
 
     The candidate grids depend only on the bounds and quanta, each
     accepted move strictly decreases the ``(DV, MU, tiles)`` key (so the
-    scan terminates), and the scalar and tables engines share the exact
-    selection rule — the tables path scores each grid in one batched
-    evaluation.
+    scan terminates), and each grid is scored in one batched evaluation.
     """
     current = dict(tiles)
-    use_tables = isinstance(evaluator, TablesEvaluator)
     names = list(names)
     # Raw aligned grids are a pure function of bounds, quanta and extents —
     # every start sees the same ones, so cap/skip decisions made from them
@@ -533,34 +478,17 @@ def _canonical_descent(
 
     def grid_for(idx: int) -> List[int]:
         # The current value rides along so its key is scored by the same
-        # engine pass as every candidate.
+        # batch as every candidate.
         return sorted(set(raw_grids[idx]) | {current[names[idx]]})
 
     def score(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(dv, mu, feasible) per row; dv is NaN on infeasible rows (never
         consulted — feasible rows only)."""
-        count = rows.shape[0]
-        if use_tables:
-            mu = evaluator.usage_batch(rows)
-            ok = (mu <= capacity) & evaluator.constraints_ok_batch(rows)
-            dv = np.full(count, np.nan)
-            if ok.any():  # exact DV only where it can be selected
-                dv[ok] = evaluator.volume_exact_batch(rows[ok])
-            return dv, mu, ok
-        dv = np.full(count, np.nan)
-        mu = np.empty(count)
-        ok = np.zeros(count, dtype=bool)
-        for row in range(count):
-            trial = dict(current)
-            for idx, name in enumerate(names):
-                trial[name] = int(rows[row, idx])
-            mu[row] = model.usage(trial)
-            if mu[row] > capacity or any(
-                fn(trial) > 0 for fn in constraints
-            ):
-                continue
-            ok[row] = True
-            dv[row] = model.volume(trial, exact=True)
+        mu = evaluator.usage_batch(rows)
+        ok = (mu <= capacity) & evaluator.constraints_ok_batch(rows)
+        dv = np.full(rows.shape[0], np.nan)
+        if ok.any():  # exact DV only where it can be selected
+            dv[ok] = evaluator.volume_exact_batch(rows[ok])
         return dv, mu, ok
 
     def base_row() -> np.ndarray:
@@ -658,65 +586,37 @@ def _integer_refine(
     upper: np.ndarray,
     quanta: Mapping[str, int],
     constraints: Sequence[ConstraintFn],
-    evaluator=None,
+    evaluator: TablesEvaluator,
 ) -> TileSolution:
     """Floor/ceil lattice search around the continuous optimum.
 
-    Under the tables engine the entire lattice is scored in one batched
-    DV/MU evaluation; the scalar engine walks it as the reference loop.
-    Both paths replicate the same selection rule — first-occurrence
-    (in ``itertools.product`` order) strict minimum of DV among feasible
-    points, first-occurrence ``(MU, DV)`` minimum as infeasible fallback —
-    so they pick the identical lattice point.  Every feasible result is
-    then canonicalized by :func:`_canonical_descent`, which erases the
-    lattice's dependence on the exact continuous landing point.
+    The entire lattice is scored in one batched DV/MU evaluation.  The
+    selection rule is the first-occurrence (in lexicographic lattice
+    order) strict minimum of DV among feasible points, with the
+    first-occurrence ``(MU, DV)`` minimum as the infeasible fallback.
+    Every feasible result is then canonicalized by
+    :func:`_canonical_descent`, which erases the lattice's dependence on
+    the exact continuous landing point.
     """
     candidate_values = _lattice_values(continuous, names, lower, upper, quanta)
+    grids = np.meshgrid(
+        *[np.asarray(v, dtype=float) for v in candidate_values],
+        indexing="ij",
+    )
+    lattice = np.stack([g.reshape(-1) for g in grids], axis=1)
+    dv_all = evaluator.volume_exact_batch(lattice)
+    mu_all = evaluator.usage_batch(lattice)
+    feasible = (mu_all <= capacity) & evaluator.constraints_ok_batch(lattice)
 
-    best: Optional[Tuple[float, float, Dict[str, int]]] = None
-    fallback: Optional[Tuple[float, float, Dict[str, int]]] = None
-    if isinstance(evaluator, TablesEvaluator):
-        # np.meshgrid(..., indexing="ij") flattens in the same
-        # lexicographic order itertools.product enumerates.
-        grids = np.meshgrid(
-            *[np.asarray(v, dtype=float) for v in candidate_values],
-            indexing="ij",
-        )
-        lattice = np.stack([g.reshape(-1) for g in grids], axis=1)
-        dv_all = evaluator.volume_exact_batch(lattice)
-        mu_all = evaluator.usage_batch(lattice)
-        feasible = (mu_all <= capacity) & evaluator.constraints_ok_batch(
-            lattice
-        )
+    def tiles_of(values: np.ndarray) -> Dict[str, int]:
+        return _full_tiles(model, dict(zip(names, (int(v) for v in values))))
 
-        def entry_at(row: int) -> Tuple[float, float, Dict[str, int]]:
-            combo = (int(v) for v in lattice[row])
-            tiles = _full_tiles(model, dict(zip(names, combo)))
-            return (float(dv_all[row]), float(mu_all[row]), tiles)
-
-        order = np.lexsort((dv_all, mu_all))
-        fallback = entry_at(int(order[0]))
-        feasible_rows = np.nonzero(feasible)[0]
-        if feasible_rows.size:
-            best = entry_at(
-                int(feasible_rows[np.argmin(dv_all[feasible_rows])])
-            )
-    else:
-        for combo in itertools.product(*candidate_values):
-            tiles = _full_tiles(model, dict(zip(names, combo)))
-            mu = model.usage(tiles)
-            dv = model.volume(tiles, exact=True)
-            entry = (dv, mu, tiles)
-            if fallback is None or (mu, dv) < (fallback[1], fallback[0]):
-                fallback = entry
-            if mu <= capacity and all(fn(tiles) <= 0 for fn in constraints):
-                if best is None or dv < best[0]:
-                    best = entry
-
-    if best is not None:
+    feasible_rows = np.nonzero(feasible)[0]
+    if feasible_rows.size:
+        best = int(feasible_rows[np.argmin(dv_all[feasible_rows])])
         dv, mu, tiles = _canonical_descent(
             model,
-            best[2],
+            tiles_of(lattice[best]),
             capacity,
             names,
             lower,
@@ -728,16 +628,15 @@ def _integer_refine(
         return TileSolution(tiles, dv, mu, True, {})
 
     # No feasible lattice point: shrink the min-MU candidate geometrically.
-    assert fallback is not None
-    dv, mu, tiles = fallback
-    shrunk = dict(tiles)
+    shrunk = lattice[int(np.lexsort((dv_all, mu_all))[0])].reshape(1, -1)
     for _ in range(64):
-        if model.usage(shrunk) <= capacity and all(
-            fn(shrunk) <= 0 for fn in constraints
+        if (
+            evaluator.usage_batch(shrunk)[0] <= capacity
+            and evaluator.constraints_ok_batch(shrunk)[0]
         ):
-            dv, mu, shrunk = _canonical_descent(
+            dv, mu, tiles = _canonical_descent(
                 model,
-                shrunk,
+                tiles_of(shrunk[0]),
                 capacity,
                 names,
                 lower,
@@ -746,15 +645,13 @@ def _integer_refine(
                 constraints,
                 evaluator=evaluator,
             )
-            return TileSolution(shrunk, dv, mu, True, {})
-        shrunk = {
-            n: max(1, t // 2) if n in set(names) else t for n, t in shrunk.items()
-        }
-    ones = _full_tiles(model, {n: 1 for n in names})
+            return TileSolution(tiles, dv, mu, True, {})
+        shrunk = np.maximum(1.0, np.floor(shrunk / 2))
+    ones = np.ones((1, len(names)))
     return TileSolution(
-        ones,
-        model.volume(ones, exact=True),
-        model.usage(ones),
+        _full_tiles(model, {}),
+        float(evaluator.volume_exact_batch(ones)[0]),
+        float(evaluator.usage_batch(ones)[0]),
         False,
         {},
     )

@@ -1,18 +1,18 @@
 """Compiled movement tables: batched Algorithm-1 DV/MU evaluation.
 
-:class:`repro.core.movement.MovementModel` is the scalar *reference*
-engine: every ``volume()``/``usage()`` call walks term objects over a tile
-dict.  This module compiles a model once into a :class:`MovementTables`
-object — flat per-term tuples of (loop column, coefficient) entries plus
-numpy-ready column indices — and evaluates the same formulas either for a
-single tile vector (the solver's hot path) or for an ``(N, L)`` candidate
-matrix in a handful of numpy calls (the integer-refinement lattice, the
-per-order bound probes).
+This module is how the optimizer evaluates Algorithm 1.  A
+:class:`repro.core.movement.MovementModel` is compiled once into a
+:class:`MovementTables` object — flat per-term tuples of (loop column,
+coefficient) entries plus numpy-ready column indices — which evaluates
+the same formulas either for a single tile vector (the solver's hot
+path) or for an ``(N, L)`` candidate matrix in a handful of numpy calls
+(the integer-refinement lattice, the per-order bound probes).
 
-**Bit-for-bit contract.**  The tables engine must return *exactly* the
-floats the scalar engine returns, for values and gradients alike, so the
-two engines produce byte-identical plans.  Every evaluator below therefore
-replays the reference implementation's floating-point operation sequence:
+**Bit-for-bit contract.**  The tables return *exactly* the floats
+:class:`MovementModel` returns, for values and gradients alike, so the
+dict-based model (and the literal ``algorithm1()``) stay usable as test
+oracles compared with ``==``.  Every evaluator below therefore replays the
+model's floating-point operation sequence:
 
 * reductions over terms, dims and loop entries stay sequential Python
   loops (numpy's ``sum``/``dot`` use pairwise summation, which associates
@@ -22,27 +22,23 @@ replays the reference implementation's floating-point operation sequence:
 * integer inputs (extents, coefficients, byte counts) are exact in double
   precision, so pre-converting them to floats changes nothing.
 
-Engine selection: ``REPRO_MODEL_ENGINE`` (``tables`` by default, ``scalar``
-for the reference path); call sites may override per call.  Compiled
-tables are memoized per model instance and, across models, in a bounded
-process-global LRU keyed by chain identity + ``signature_digest()`` —
-permutations with equal signatures share one compilation.
+Compiled tables are memoized per model instance and, across models, in a
+bounded process-global LRU keyed by chain identity +
+``signature_digest()`` — permutations with equal signatures share one
+compilation.
 
 Stitched chains (:mod:`repro.ir.stitch`) compile through the same tables:
 each stitched memory-intensive op contributes ordinary MU rows (its tile
 footprint joins every access-group usage sum), its bridge tensor has no DV
 term at all (it is a chain intermediate), and the unified-buffer capacity
 constraint (:class:`_ConstraintTable`, the "capacity row") is what rejects
-tilings whose stitched intermediate tile overflows the shared buffer — so
-the bit-for-bit scalar/tables contract extends to stitched plans with no
-new code paths.
+tilings whose stitched intermediate tile overflows the shared buffer.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import threading
 import weakref
 from collections import OrderedDict
@@ -61,83 +57,6 @@ from typing import (
 import numpy as np
 
 from .movement import MovementModel
-
-#: Environment knob selecting the model evaluation engine.
-ENV_MODEL_ENGINE = "REPRO_MODEL_ENGINE"
-ENGINE_SCALAR = "scalar"
-ENGINE_TABLES = "tables"
-_ENGINES = (ENGINE_SCALAR, ENGINE_TABLES)
-
-
-def resolve_model_engine(engine: Optional[str] = None) -> str:
-    """Validated engine name; ``None`` defers to ``REPRO_MODEL_ENGINE``.
-
-    Both engines return bit-identical results — the knob exists so the
-    scalar reference path stays exercised (CI) and diagnosable.
-    """
-    if engine is None:
-        engine = os.environ.get(ENV_MODEL_ENGINE, ENGINE_TABLES)
-    engine = engine.strip().lower()
-    if engine not in _ENGINES:
-        raise ValueError(
-            f"unknown model engine {engine!r}; expected one of {_ENGINES}"
-        )
-    return engine
-
-
-def model_engine() -> str:
-    """The engine the environment currently selects."""
-    return resolve_model_engine(None)
-
-
-#: Environment knob disabling the generated (unrolled) row kernels.
-ENV_TABLES_CODEGEN = "REPRO_TABLES_CODEGEN"
-
-
-def codegen_enabled() -> bool:
-    """Whether compiled tables may specialize row kernels via codegen."""
-    value = os.environ.get(ENV_TABLES_CODEGEN, "1").strip().lower()
-    return value not in ("0", "false", "off")
-
-
-# ----------------------------------------------------------------------
-# row-kernel code generation
-# ----------------------------------------------------------------------
-# The solver evaluates DV/MU and their gradients thousands of times per
-# tile solve.  The interpreted row kernels below walk nested per-term
-# tuples; for solver-facing evaluators we instead *generate* straight-line
-# Python source with every loop unrolled — the identical floating-point
-# operation sequence, minus all iteration and unpacking overhead — and
-# ``exec`` it once per compiled table.  Identity operations the reference
-# performs (``x * 1.0``, ``0.0 + x``) are elided, which IEEE-754 makes
-# bit-exact for the finite positive values these formulas produce.
-
-
-def _emit_span(dim, value_of) -> str:
-    """Source expression for one dim's span, ``1.0 + sum coeff*(T-1)``.
-
-    The reference accumulates left-associatively starting from ``1.0``;
-    a chained ``+`` expression reproduces that exactly.  Entries with a
-    negative column add their precomputed constant (pinned loops).
-    """
-    expr = "1.0"
-    for col, coeff in dim:
-        if col >= 0:
-            expr += f" + {coeff!r} * ({value_of(col)} - 1.0)"
-        else:
-            expr += f" + {coeff!r}"
-    return expr
-
-
-def _emit_footprint(lines, dims, value_of, prefix) -> str:
-    """Emit span locals for ``dims``; return the footprint expression."""
-    names = []
-    for di, dim in enumerate(dims):
-        name = f"{prefix}s{di}"
-        lines.append(f"    {name} = {_emit_span(dim, value_of)}")
-        names.append(name)
-    return " * ".join(names) if names else "1.0"
-
 
 # ----------------------------------------------------------------------
 # compiled tables
@@ -178,78 +97,15 @@ class _AccessTable:
 class _ConstraintTable:
     """A compiled access-group constraint: sum of footprints - capacity."""
 
-    __slots__ = ("accesses", "capacity", "_k_row", "_k_gradient")
+    __slots__ = ("accesses", "capacity")
 
     def __init__(
         self, accesses: Tuple[_AccessTable, ...], capacity: float
     ) -> None:
         self.accesses = accesses
         self.capacity = capacity
-        self._k_row: Optional[Callable] = None
-        self._k_gradient: Optional[Callable] = None
-
-    def ensure_fast_kernels(self, width: int) -> bool:
-        """Generate unrolled row/gradient kernels (see module notes)."""
-        if self._k_row is not None:
-            return True
-        if not codegen_enabled():
-            return False
-        used = sorted(
-            {
-                col
-                for acc in self.accesses
-                for dim in acc.dims
-                for col, _ in dim
-                if col >= 0
-            }
-        )
-        tile = "t{}".format
-        lines = ["def row(t):"]
-        for col in used:
-            lines.append(f"    t{col} = t[{col}]")
-        lines.append("    usage = 0.0")
-        for acc in self.accesses:
-            footprint = _emit_footprint(lines, acc.dims, tile, "")
-            lines.append(f"    usage = usage + ({footprint}) * {acc.elem_bytes!r}")
-        lines.append(f"    return usage - {self.capacity!r}")
-        source = ["\n".join(lines)]
-
-        lines = ["def gradient(t):"]
-        for col in used:
-            lines.append(f"    t{col} = t[{col}]")
-        for col in used:
-            lines.append(f"    g{col} = 0.0")
-        for acc in self.accesses:
-            footprint = _emit_footprint(lines, acc.dims, tile, "")
-            lines.append(f"    fpb = ({footprint}) * {acc.elem_bytes!r}")
-            for di, dim in enumerate(acc.dims):
-                for col, coeff in dim:
-                    if col >= 0:
-                        lines.append(
-                            f"    g{col} = g{col} + fpb * ({coeff!r} / s{di})"
-                        )
-        used_set = set(used)
-        returned = ", ".join(
-            f"g{col}" if col in used_set else "0.0" for col in range(width)
-        )
-        lines.append(f"    return [{returned}]")
-        source.append("\n".join(lines))
-
-        namespace: Dict[str, Any] = {}
-        exec(
-            compile(
-                "\n\n".join(source), "<constraint-table-kernels>", "exec"
-            ),
-            namespace,
-        )
-        self._k_gradient = namespace["gradient"]
-        self._k_row = namespace["row"]
-        return True
 
     def row(self, t: Sequence[float]) -> float:
-        kernel = self._k_row
-        if kernel is not None:
-            return kernel(t)
         usage = 0.0
         for acc in self.accesses:
             footprint = 1.0
@@ -276,9 +132,6 @@ class _ConstraintTable:
         return usage - self.capacity
 
     def gradient_row(self, t: Sequence[float]) -> List[float]:
-        kernel = self._k_gradient
-        if kernel is not None:
-            return kernel(t)
         grad = [0.0] * len(t)
         for acc in self.accesses:
             spans = []
@@ -302,7 +155,7 @@ class MovementTables:
 
     The loop universe is ``chain.loop_extents()`` in its stable order; a
     tile *row* is a length-``L`` vector over that universe (loops a caller
-    does not control sit at 1, exactly like the scalar engine's
+    does not control sit at 1, exactly like :class:`MovementModel`'s
     ``tiles.get(name, 1)`` default).  ``*_row`` methods take one row of
     Python floats; ``*_batch`` methods take an ``(N, L)`` float64 matrix.
     """
@@ -385,176 +238,6 @@ class MovementTables:
             )
             for entries in self.usage_ops
         )
-        # Generated straight-line kernels (see ensure_fast_kernels); None
-        # until a solver-facing evaluator requests them.
-        self._kernels_ready = False
-        self._k_volume_smooth: Optional[Callable] = None
-        self._k_usage: Optional[Callable] = None
-        self._k_volume_gradient: Optional[Callable] = None
-        self._k_usage_gradient: Optional[Callable] = None
-
-    # -- generated kernels ---------------------------------------------
-    def ensure_fast_kernels(self) -> bool:
-        """Generate and install the unrolled row kernels (idempotent).
-
-        Called by :class:`TablesEvaluator` — only tables that reach a tile
-        solve pay the (one-time, memoized with the tables) generation
-        cost; single-shot uses like order probing stay interpreted.
-        Returns False when ``REPRO_TABLES_CODEGEN`` disables generation.
-        """
-        if self._kernels_ready:
-            return True
-        if not codegen_enabled():
-            return False
-        namespace: Dict[str, Any] = {}
-        exec(
-            compile(self._kernel_source(), "<movement-tables-kernels>", "exec"),
-            namespace,
-        )
-        self._k_volume_smooth = namespace["volume_smooth"]
-        self._k_usage = namespace["usage"]
-        self._k_volume_gradient = namespace["volume_gradient"]
-        self._k_usage_gradient = namespace["usage_gradient"]
-        self._kernels_ready = True
-        return True
-
-    def _kernel_source(self) -> str:
-        """Python source for the five unrolled row kernels.
-
-        Each kernel replays the corresponding interpreted method's exact
-        operation sequence on a full-universe tile row ``t``.
-        """
-        width = len(self.loop_names)
-        used = sorted(
-            {col for term in self.terms for col, _ in term.mults}
-            | {
-                col
-                for term in self.terms
-                for dim in term.dims
-                for col, _ in dim
-            }
-            | {
-                col
-                for entries in self.usage_ops
-                for acc in entries
-                for dim in acc.dims
-                for col, _ in dim
-                if col >= 0
-            }
-        )
-
-        def unpack(lines: List[str]) -> None:
-            for col in used:
-                lines.append(f"    t{col} = t[{col}]")
-
-        tile = "t{}".format
-        source: List[str] = []
-
-        # The exact (ceil-based) volume intentionally has no generated
-        # kernel: the solve hot path only evaluates smooth DV, MU, and
-        # their gradients row-wise; exact DV runs through the batched
-        # numpy path (integer refinement) or the interpreted fallback.
-
-        # volume_smooth: max(extent/T, 1.0) factors, identity multiplies
-        # skipped.
-        lines = ["def volume_smooth(t):"]
-        unpack(lines)
-        lines.append("    volume = 0.0")
-        for term in self.terms:
-            footprint = _emit_footprint(lines, term.dims, tile, "")
-            lines.append(f"    dm = ({footprint}) * {term.elem_bytes!r}")
-            for col, extent in term.mults:
-                lines.append(f"    q = {float(extent)!r} / t{col}")
-                lines.append("    if q > 1.0:")
-                lines.append("        dm = dm * q")
-            lines.append("    volume = volume + dm")
-        lines.append("    return volume")
-        source.append("\n".join(lines))
-
-        # usage: per-op footprint totals, running peak.
-        lines = ["def usage(t):"]
-        unpack(lines)
-        lines.append("    peak = 0.0")
-        for entries in self.usage_ops:
-            lines.append("    total = 0.0")
-            for acc in entries:
-                footprint = _emit_footprint(lines, acc.dims, tile, "")
-                if footprint == "1.0":
-                    lines.append(f"    total = total + {acc.elem_bytes!r}")
-                else:
-                    lines.append(
-                        f"    total = total + ({footprint}) * {acc.elem_bytes!r}"
-                    )
-            lines.append("    if total > peak:")
-            lines.append("        peak = total")
-        lines.append("    return peak")
-        source.append("\n".join(lines))
-
-        # volume_gradient: smooth DV plus per-column partials.
-        grad_cols = sorted(
-            {col for term in self.terms for col, _ in term.mults}
-            | {
-                col
-                for term in self.terms
-                for dim in term.dims
-                for col, _ in dim
-            }
-        )
-        lines = ["def volume_gradient(t):"]
-        unpack(lines)
-        lines.append("    volume = 0.0")
-        for col in grad_cols:
-            lines.append(f"    g{col} = 0.0")
-        for elem_bytes, mults, dims, entries in self._grad_terms:
-            footprint = _emit_footprint(lines, dims, tile, "")
-            lines.append(f"    dm = ({footprint}) * {elem_bytes!r}")
-            for col, extent in mults:
-                lines.append(f"    q = {float(extent)!r} / t{col}")
-                lines.append("    if q > 1.0:")
-                lines.append("        dm = dm * q")
-            lines.append("    volume = volume + dm")
-            for col, coeff, di in entries:
-                lines.append(f"    g{col} = g{col} + dm * ({coeff!r} / s{di})")
-            for col, extent in mults:
-                lines.append(f"    if {float(extent)!r} / t{col} > 1.0:")
-                lines.append(f"        g{col} = g{col} - dm / t{col}")
-        returned = ", ".join(
-            f"g{col}" if col in set(grad_cols) else "0.0"
-            for col in range(width)
-        )
-        lines.append(f"    return volume, [{returned}]")
-        source.append("\n".join(lines))
-
-        # usage_gradient: peak op's subgradient (first-argmax selection).
-        lines = ["def usage_gradient(t):"]
-        unpack(lines)
-        lines.append("    peak = 0.0")
-        lines.append(f"    out = [0.0] * {width}")
-        for accesses in self._usage_grad_ops:
-            op_cols = sorted(
-                {col for _, _, entries in accesses for col, _, _ in entries}
-            )
-            lines.append("    total = 0.0")
-            for col in op_cols:
-                lines.append(f"    og{col} = 0.0")
-            for elem_bytes, dims, entries in accesses:
-                footprint = _emit_footprint(lines, dims, tile, "")
-                lines.append(f"    fpb = ({footprint}) * {elem_bytes!r}")
-                lines.append("    total = total + fpb")
-                for col, coeff, di in entries:
-                    lines.append(
-                        f"    og{col} = og{col} + fpb * ({coeff!r} / s{di})"
-                    )
-            selected = ", ".join(
-                f"og{col}" if col in set(op_cols) else "0.0"
-                for col in range(width)
-            )
-            lines.append("    if total > peak:")
-            lines.append("        peak = total")
-            lines.append(f"        out = [{selected}]")
-        lines.append("    return peak, out")
-        source.append("\n".join(lines))
-        return "\n\n".join(source)
 
     # -- row (single tile vector) paths --------------------------------
     def row_of(self, tiles: Mapping[str, float]) -> List[float]:
@@ -562,10 +245,7 @@ class MovementTables:
         return [float(tiles.get(name, 1)) for name in self.loop_names]
 
     def volume_row(self, t: Sequence[float], *, exact: bool = True) -> float:
-        """DV of one tile row — scalar shim over the compiled tables."""
-        kernel = None if exact else self._k_volume_smooth
-        if kernel is not None:
-            return kernel(t)
+        """DV of one tile row."""
         volume = 0.0
         for term in self.terms:
             if exact:
@@ -602,10 +282,7 @@ class MovementTables:
         return volume
 
     def usage_row(self, t: Sequence[float]) -> float:
-        """MU of one tile row — scalar shim over the compiled tables."""
-        kernel = self._k_usage
-        if kernel is not None:
-            return kernel(t)
+        """MU of one tile row."""
         peak = 0.0
         for entries in self.usage_ops:
             total = 0.0
@@ -633,9 +310,6 @@ class MovementTables:
         gradient plan; multiplier factors clamped at 1.0 skip their
         (identity) multiply, which is bit-exact since ``x * 1.0 == x``.
         """
-        kernel = self._k_volume_gradient
-        if kernel is not None:
-            return kernel(t)
         volume = 0.0
         grad = [0.0] * len(self.loop_names)
         for elem_bytes, mults, dims, entries in self._grad_terms:
@@ -669,9 +343,6 @@ class MovementTables:
         self, t: Sequence[float]
     ) -> Tuple[float, List[float]]:
         """MU and the peak operator's subgradient (reference op order)."""
-        kernel = self._k_usage_gradient
-        if kernel is not None:
-            return kernel(t)
         peak = 0.0
         width = len(self.loop_names)
         peak_grad = [0.0] * width
@@ -923,77 +594,19 @@ def clear_tables_memo() -> None:
 # ----------------------------------------------------------------------
 # solver-facing evaluators
 # ----------------------------------------------------------------------
-class ScalarEvaluator:
-    """Reference engine: dict-based :class:`MovementModel` calls.
+class TablesEvaluator:
+    """Row/batch evaluation of one solve's DV, MU and constraints.
 
     Vectors are tile values over ``names`` (the solve's loop order); loops
-    outside ``names`` implicitly sit at 1 via the model's ``tiles.get``
-    defaults, exactly as the pre-tables solver behaved.
+    outside ``names`` sit at 1.
     """
 
-    engine = ENGINE_SCALAR
-
     def __init__(
         self,
         model: MovementModel,
         names: Sequence[str],
         constraints: Sequence[Callable[[Mapping[str, float]], float]] = (),
     ) -> None:
-        self.model = model
-        self.names = list(names)
-        self.constraints = list(constraints)
-
-    def _tiles(self, values: Sequence[float]) -> Dict[str, float]:
-        return {n: float(v) for n, v in zip(self.names, values)}
-
-    def volume_smooth(self, values: Sequence[float]) -> float:
-        return self.model.volume(self._tiles(values), exact=False)
-
-    def volume_exact(self, values: Sequence[float]) -> float:
-        return self.model.volume(self._tiles(values), exact=True)
-
-    def usage(self, values: Sequence[float]) -> float:
-        return self.model.usage(self._tiles(values))
-
-    def volume_smooth_gradient(
-        self, values: Sequence[float]
-    ) -> Tuple[float, np.ndarray]:
-        volume, grad = self.model.volume_smooth_gradient(self._tiles(values))
-        return volume, np.array([grad[n] for n in self.names])
-
-    def usage_gradient(
-        self, values: Sequence[float]
-    ) -> Tuple[float, np.ndarray]:
-        usage, grad = self.model.usage_gradient(self._tiles(values))
-        return usage, np.array([grad[n] for n in self.names])
-
-    def constraint(self, i: int, values: Sequence[float]) -> float:
-        return self.constraints[i](self._tiles(values))
-
-    def constraint_has_gradient(self, i: int) -> bool:
-        return hasattr(self.constraints[i], "gradient")
-
-    def constraint_gradient(
-        self, i: int, values: Sequence[float]
-    ) -> np.ndarray:
-        grad = self.constraints[i].gradient(self._tiles(values))
-        return np.array([grad.get(n, 0.0) for n in self.names])
-
-
-class TablesEvaluator:
-    """Compiled engine: row/batch evaluation over the tables."""
-
-    engine = ENGINE_TABLES
-
-    def __init__(
-        self,
-        model: MovementModel,
-        names: Sequence[str],
-        constraints: Sequence[Callable[[Mapping[str, float]], float]] = (),
-        *,
-        fast_kernels: bool = True,
-    ) -> None:
-        self.model = model
         self.tables = movement_tables(model)
         self.names = list(names)
         self.cols = [self.tables.index[n] for n in self.names]
@@ -1003,16 +616,6 @@ class TablesEvaluator:
         self._compiled = [
             self.tables.compile_constraint(fn) for fn in constraints
         ]
-        # Solver-facing evaluators run thousands of row evaluations per
-        # solve — switch the shared tables to their generated kernels.
-        # ``fast_kernels=False`` skips the generation: batch-only users
-        # (bound probes) never touch the row kernels, and warm-started
-        # solves converge in so few evaluations that interpreted rows beat
-        # paying the per-model codegen cost.  The interpreted and generated
-        # paths return bit-identical floats (module contract), so this is
-        # a latency knob only.
-        if fast_kernels:
-            self.ensure_fast_kernels()
         # One SLSQP point is evaluated by several closures (objective,
         # capacity slack, jacobians); the solver hands them the *same*
         # values array per point, so the expanded row is cached by object
@@ -1020,14 +623,6 @@ class TablesEvaluator:
         # equal contents — the cached row is bit-identical to a rebuild.
         self._row_src: Optional[object] = None
         self._row_cache: Optional[List[float]] = None
-
-    def ensure_fast_kernels(self) -> None:
-        """Generate the unrolled row kernels for the tables and compiled
-        constraints (idempotent; shared across evaluators of one model)."""
-        self.tables.ensure_fast_kernels()
-        for compiled in self._compiled:
-            if compiled is not None:
-                compiled.ensure_fast_kernels(self._width)
 
     def _row(self, values: Sequence[float]) -> List[float]:
         if values is self._row_src:
@@ -1044,12 +639,6 @@ class TablesEvaluator:
         rows = np.ones((values.shape[0], self._width))
         rows[:, self._cols_arr] = values
         return rows
-
-    def volume_smooth(self, values: Sequence[float]) -> float:
-        return self.tables.volume_row(self._row(values), exact=False)
-
-    def volume_exact(self, values: Sequence[float]) -> float:
-        return self.tables.volume_row(self._row(values), exact=True)
 
     def usage(self, values: Sequence[float]) -> float:
         return self.tables.usage_row(self._row(values))
@@ -1118,18 +707,6 @@ def evaluator_for(
     model: MovementModel,
     names: Sequence[str],
     constraints: Sequence[Callable[[Mapping[str, float]], float]] = (),
-    engine: Optional[str] = None,
-    *,
-    fast_kernels: bool = True,
-):
-    """The evaluator implementing ``engine`` for one solve.
-
-    ``fast_kernels=False`` defers row-kernel codegen (tables engine only);
-    see :class:`TablesEvaluator`.
-    """
-    engine = resolve_model_engine(engine)
-    if engine == ENGINE_TABLES:
-        return TablesEvaluator(
-            model, names, constraints, fast_kernels=fast_kernels
-        )
-    return ScalarEvaluator(model, names, constraints)
+) -> TablesEvaluator:
+    """The evaluator one tile solve runs on."""
+    return TablesEvaluator(model, names, constraints)

@@ -36,7 +36,7 @@ Hints change **how fast** the optimizer runs, never **what it returns**:
   back to the full sweep.
 
 Because hints cannot change results, they stay **out** of every memo and
-cache key — the same stance the search policy and model engine take.
+cache key — the same stance the search policy takes.
 
 An adversarial (wrong-neighbor) hint therefore degrades gracefully: an
 order that matches no candidate is ignored, and tiles from an unrelated

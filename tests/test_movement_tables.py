@@ -1,12 +1,12 @@
 """Bit-for-bit equivalence of the compiled movement tables.
 
-The tables engine promises to replay the scalar reference's exact
+The tables promise to replay :class:`MovementModel`'s exact
 floating-point operation sequence — not merely to agree within a
-tolerance.  The fuzz below therefore compares with ``==`` on floats:
-every (chain family, candidate order) pair samples degenerate corners
-(all-ones tiles, full extents, quantum-off lattice points) plus seeded
-interior points, and asserts the interpreted row path, the generated
-(codegen) kernels, and the ``(N, L)`` batch path all reproduce
+tolerance — so the model is their oracle.  The fuzz below therefore
+compares with ``==`` on floats: every (chain family, candidate order)
+pair samples degenerate corners (all-ones tiles, full extents,
+quantum-off lattice points) plus seeded interior points, and asserts the
+row path and the ``(N, L)`` batch path reproduce
 ``MovementModel.volume``/``usage`` and both analytic gradients exactly.
 """
 
@@ -15,27 +15,17 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import solver
-from repro.core.movement import MovementModel
+from repro.core.movement import MovementModel, algorithm1
 from repro.core.reordering import candidate_models
 from repro.core.search import SolveMemo
 from repro.core.tables import (
-    ENGINE_SCALAR,
-    ENGINE_TABLES,
-    ENV_MODEL_ENGINE,
-    ENV_TABLES_CODEGEN,
     MovementTables,
-    ScalarEvaluator,
-    TablesEvaluator,
     _TablesMemo,
     clear_tables_memo,
-    evaluator_for,
-    model_engine,
     movement_tables,
-    resolve_model_engine,
     tables_memo_stats,
 )
-from repro.ir.chains import batch_gemm_chain, conv_chain
+from repro.ir.chains import batch_gemm_chain, conv_chain, gemm_chain
 from repro.workloads import gemm_chain_config
 
 
@@ -85,55 +75,103 @@ def _tile_samples(model, rng, interior=6):
 
 
 @pytest.mark.parametrize("family,chain", _chains(), ids=lambda v: str(v))
-def test_tables_match_scalar_bit_for_bit(family, chain, monkeypatch):
-    monkeypatch.setenv(ENV_TABLES_CODEGEN, "1")
+def test_tables_match_scalar_bit_for_bit(family, chain):
     rng = random.Random(f"tables-{family}")
     for model in _sample_models(chain):
-        interpreted = MovementTables(model)
-        generated = MovementTables(model)
-        assert generated.ensure_fast_kernels()
+        tables = MovementTables(model)
         for tiles in _tile_samples(model, rng):
-            row = interpreted.row_of(tiles)
+            row = tables.row_of(tiles)
             batch = np.array([row, row])
-            for tables in (interpreted, generated):
-                assert tables.volume_row(row, exact=True) == model.volume(
-                    tiles, exact=True
-                )
-                assert tables.volume_row(row, exact=False) == model.volume(
-                    tiles, exact=False
-                )
-                assert tables.usage_row(row) == model.usage(tiles)
-            exact_batch = interpreted.volume_batch(batch, exact=True)
-            smooth_batch = interpreted.volume_batch(batch, exact=False)
-            usage_batch = interpreted.usage_batch(batch)
+            assert tables.volume_row(row, exact=True) == model.volume(
+                tiles, exact=True
+            )
+            assert tables.volume_row(row, exact=False) == model.volume(
+                tiles, exact=False
+            )
+            assert tables.usage_row(row) == model.usage(tiles)
+            exact_batch = tables.volume_batch(batch, exact=True)
+            smooth_batch = tables.volume_batch(batch, exact=False)
+            usage_batch = tables.usage_batch(batch)
             assert float(exact_batch[0]) == model.volume(tiles, exact=True)
             assert float(smooth_batch[0]) == model.volume(tiles, exact=False)
             assert float(usage_batch[0]) == model.usage(tiles)
-            slack = interpreted.slack_batch(batch, 1e6)
+            slack = tables.slack_batch(batch, 1e6)
             assert float(slack[0]) == 1e6 - model.usage(tiles)
 
 
 @pytest.mark.parametrize("family,chain", _chains(), ids=lambda v: str(v))
-def test_gradient_rows_match_scalar_bit_for_bit(family, chain, monkeypatch):
-    monkeypatch.setenv(ENV_TABLES_CODEGEN, "1")
+def test_gradient_rows_match_scalar_bit_for_bit(family, chain):
     rng = random.Random(f"grads-{family}")
     for model in _sample_models(chain, count=3):
-        interpreted = MovementTables(model)
-        generated = MovementTables(model)
-        assert generated.ensure_fast_kernels()
-        index = interpreted.index
+        tables = MovementTables(model)
+        index = tables.index
         for tiles in _tile_samples(model, rng, interior=4):
-            row = interpreted.row_of(tiles)
+            row = tables.row_of(tiles)
             ref_volume, ref_vgrad = model.volume_smooth_gradient(tiles)
             ref_usage, ref_ugrad = model.usage_gradient(tiles)
-            for tables in (interpreted, generated):
-                volume, vgrad = tables.volume_smooth_gradient_row(row)
-                usage, ugrad = tables.usage_gradient_row(row)
-                assert volume == ref_volume
-                assert usage == ref_usage
-                for name in model.perm:
-                    assert vgrad[index[name]] == ref_vgrad[name]
-                    assert ugrad[index[name]] == ref_ugrad[name]
+            volume, vgrad = tables.volume_smooth_gradient_row(row)
+            usage, ugrad = tables.usage_gradient_row(row)
+            assert volume == ref_volume
+            assert usage == ref_usage
+            for name in model.perm:
+                assert vgrad[index[name]] == ref_vgrad[name]
+                assert ugrad[index[name]] == ref_ugrad[name]
+
+
+#: Exact (DV, MU) in bytes of ``gemm_chain(64, 48, 32, 80)`` (FP16) at
+#: tiles m16 n8 k8 l16, per block order.  mlkn is Table III's closed form
+#: ``(MK + MN) ceil(L/T_L) + (K + N) L ceil(M/T_M)`` =
+#: ``(2048 + 3072) * 5 + 80 * 80 * 4`` = 51200 elements.  MU is the
+#: model's, which keeps enlarged distribution buffers resident.
+PINNED_GEMM_CHAIN = {
+    "mnkl": (61440, 3072),
+    "mnlk": (77824, 3072),
+    "mknl": (61440, 3072),
+    "mkln": (86016, 3072),
+    "mlnk": (102400, 1024),
+    "mlkn": (102400, 1024),
+    "nmkl": (61440, 10752),
+    "nmlk": (77824, 10752),
+    "nkml": (61440, 10752),
+    "nklm": (64000, 10752),
+    "nlmk": (79360, 10752),
+    "nlkm": (64000, 10752),
+    "kmnl": (61440, 10752),
+    "kmln": (86016, 10752),
+    "knml": (61440, 10752),
+    "knlm": (64000, 10752),
+    "klmn": (87040, 10752),
+    "klnm": (64000, 10752),
+    "lmnk": (102400, 1024),
+    "lmkn": (102400, 1024),
+    "lnmk": (79360, 2560),
+    "lnkm": (64000, 2560),
+    "lkmn": (87040, 2560),
+    "lknm": (64000, 2560),
+}
+
+
+@pytest.mark.parametrize("order", sorted(PINNED_GEMM_CHAIN))
+def test_gemm_chain_movement_pinned_per_order(order):
+    chain = gemm_chain(64, 48, 32, 80)
+    perm = tuple(order)
+    tiles = {"m": 16, "n": 8, "k": 8, "l": 16}
+    dv, mu = PINNED_GEMM_CHAIN[order]
+    model = MovementModel(chain, perm)
+    tables = MovementTables(model)
+    row = tables.row_of(tiles)
+    batch = np.array([row])
+    literal_dv, literal_mu = algorithm1(chain, perm, tiles)
+    assert literal_dv == dv
+    assert model.volume(tiles, exact=True) == dv
+    assert tables.volume_row(row) == dv
+    assert float(tables.volume_batch(batch)[0]) == dv
+    assert model.usage(tiles) == mu
+    assert tables.usage_row(row) == mu
+    assert float(tables.usage_batch(batch)[0]) == mu
+    # Algorithm 1 as printed never enlarges a buffer.
+    assert literal_mu == 1024
+    assert (literal_mu == mu) == (not model.has_enlarged_buffers)
 
 
 def test_volume_gradient_agrees_with_finite_differences():
@@ -158,26 +196,6 @@ def test_volume_gradient_agrees_with_finite_differences():
         assert grad[tables.index[name]] == pytest.approx(
             fd, rel=1e-3, abs=noise
         )
-
-
-def test_codegen_toggle_disables_kernels(monkeypatch):
-    chain = batch_gemm_chain(1, 16, 16, 16, 16, name="tbl_toggle")
-    model = _sample_models(chain, count=1)[0]
-    tiles = {n: 4 for n in model.perm}
-
-    monkeypatch.setenv(ENV_TABLES_CODEGEN, "0")
-    interpreted = MovementTables(model)
-    assert not interpreted.ensure_fast_kernels()
-
-    monkeypatch.setenv(ENV_TABLES_CODEGEN, "1")
-    generated = MovementTables(model)
-    assert generated.ensure_fast_kernels()
-
-    row = interpreted.row_of(tiles)
-    assert interpreted.volume_row(row, exact=False) == generated.volume_row(
-        row, exact=False
-    )
-    assert interpreted.usage_row(row) == generated.usage_row(row)
 
 
 def test_tables_memo_is_a_bounded_lru():
@@ -209,48 +227,6 @@ def test_movement_tables_memoized_per_model_and_signature():
     other_chain = batch_gemm_chain(1, 16, 16, 16, 16, name="tbl_memo")
     other = MovementModel(other_chain, model.perm)
     assert movement_tables(other) is not first
-
-
-def test_engine_resolution():
-    assert resolve_model_engine("scalar") == ENGINE_SCALAR
-    assert resolve_model_engine(" Tables ") == ENGINE_TABLES
-    with pytest.raises(ValueError):
-        resolve_model_engine("vectorized")
-
-
-def test_engine_environment_default(monkeypatch):
-    monkeypatch.setenv(ENV_MODEL_ENGINE, "scalar")
-    assert model_engine() == ENGINE_SCALAR
-    monkeypatch.delenv(ENV_MODEL_ENGINE)
-    assert model_engine() == ENGINE_TABLES  # compiled engine by default
-    monkeypatch.setenv(ENV_MODEL_ENGINE, "nope")
-    with pytest.raises(ValueError):
-        model_engine()
-
-
-def test_evaluator_for_selects_engine():
-    chain = batch_gemm_chain(1, 16, 16, 16, 16, name="tbl_eval")
-    model = _sample_models(chain, count=1)[0]
-    names = list(model.perm)
-    assert isinstance(
-        evaluator_for(model, names, engine="scalar"), ScalarEvaluator
-    )
-    assert isinstance(
-        evaluator_for(model, names, engine="tables"), TablesEvaluator
-    )
-
-
-def test_solve_tiles_identical_across_engines():
-    chain = conv_chain(1, 8, 14, 14, 12, 8, 1, 1, 3, 1, name="tbl_solve")
-    for model in _sample_models(chain, count=2):
-        capacity = 64 * 1024.0
-        scalar = solver.solve_tiles(model, capacity, engine="scalar")
-        tables = solver.solve_tiles(model, capacity, engine="tables")
-        assert tables.tiles == scalar.tiles
-        assert tables.dv == scalar.dv
-        assert tables.mu == scalar.mu
-        assert tables.feasible == scalar.feasible
-        assert tables.continuous == scalar.continuous
 
 
 def test_solve_memo_counts_evictions():

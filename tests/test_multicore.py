@@ -7,8 +7,8 @@ The contract under test, in the order the module builds it up:
 * ``partition_loops`` admits only spatial, write-covering loops;
 * ``shard_chain`` rewrites extents/flops/shapes proportionally and
   leaves replicated tensors untouched;
-* the communication model is exact integer arithmetic, bit-identical
-  between the scalar and tables engines;
+* the communication model is exact integer arithmetic, pinned against
+  hand-derived replicated and halo byte counts;
 * the placement lower bound is admissible (never above the solved
   plan's predicted time);
 * ``decide_fusion`` picks a partitioned plan only on link-bearing
@@ -160,8 +160,6 @@ class TestShardChain:
 
 
 class TestCommVolume:
-    FACTORS = (1, 2, 4, 8, 16, 32)
-
     def workloads(self):
         return [
             (small_attention(), "b"),
@@ -176,17 +174,18 @@ class TestCommVolume:
                 continue
             assert comm_volume_bytes(chain, loop, (1,))[0] == 0
 
-    def test_scalar_and_tables_bit_exact(self):
-        for chain, loop in self.workloads():
-            if loop not in chain.loop_extents():
-                continue
-            scalar = comm_volume_bytes(
-                chain, loop, self.FACTORS, engine="scalar"
-            )
-            tables = comm_volume_bytes(
-                chain, loop, self.FACTORS, engine="tables"
-            )
-            assert scalar == tables, (chain.name, loop)
+    def test_conv_halo_bytes_pinned(self):
+        # 1x1 then 3x3 conv on 16x16, 8 channels, FP16, sharded along oh.
+        # Each extra core receives both weights (128 + 1152 = 1280 B), and
+        # each shard reads 16/p + 2 rows x 18 columns x 8 channels of the
+        # intermediate where the whole chain reads 18 rows.
+        chain = conv_chain(1, 8, 16, 16, 8, 8, 1, 1, 1, 3)
+        volumes = comm_volume_bytes(chain, "oh", (1, 2, 4))
+        assert volumes == tuple(
+            (p - 1) * 1280 + (p * (16 // p + 2) - 18) * 8 * 18 * 2
+            for p in (1, 2, 4)
+        )
+        assert volumes == (0, 1856, 5568)
 
     def test_replicated_weights_broadcast(self):
         # MLP sharded along m replicates W1 and W2: (p-1) * their bytes.

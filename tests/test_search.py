@@ -81,6 +81,44 @@ class TestBounds:
         )
         assert bounds["m"] <= 17
 
+    @pytest.mark.parametrize("capacity", [CAPACITY, 2048.0])
+    def test_upper_bounds_are_largest_fitting_tiles(
+        self, chain, models, capacity
+    ):
+        """Each bound fits with every other loop at 1; one more does not
+        (the batched bisection against the dict-based model)."""
+        extents = chain.loop_extents()
+        constraints = ChimeraOptimizer(ascend_910()).extra_constraints(chain)
+        assert constraints
+
+        def fits(model, tiles):
+            return model.usage(tiles) <= capacity and all(
+                fn(tiles) <= 0 for fn in constraints
+            )
+
+        bisected = 0
+        for model in models:
+            bounds = upper_tile_bounds(model, capacity, constraints)
+            if bounds is None:
+                assert not fits(model, {n: 1 for n in extents})
+                continue
+            for name, value in bounds.items():
+                probe = {n: 1 for n in extents}
+                probe[name] = value
+                assert fits(model, probe)
+                if value < extents[name]:
+                    bisected += 1
+                    probe[name] = value + 1
+                    assert not fits(model, probe)
+        if capacity < CAPACITY:
+            assert bisected
+
+    def test_all_unit_loops_bound_on_all_ones_alone(self):
+        model = candidate_models(gemm_chain(1, 1, 1, 1)).models[0]
+        assert model.perm == ()
+        assert upper_tile_bounds(model, CAPACITY) == {}
+        assert upper_tile_bounds(model, 1.0) is None
+
     def test_bound_is_admissible(self, models):
         """The bound never exceeds the solver's DV on the same inputs."""
         for model in models:

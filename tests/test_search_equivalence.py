@@ -6,15 +6,21 @@ two-worker process pool), and the serialized plans must match **byte for
 byte** — the guarantee that lets deployments turn the fast path on without
 revalidating results.
 
-The same guarantee covers the movement-model engines: the compiled tables
-engine (``REPRO_MODEL_ENGINE=tables``) replays the scalar reference's exact
-floating-point operation sequence, so the sweep below also asserts plans
-are byte-identical between engines across GEMM + conv workloads and every
-hardware preset.
+Refactors of the optimizer must not move a plan either:
+``test_plan_matches_golden`` pins the sha256 of every serialized plan in
+``tests/data/golden_plans.json`` — GEMM + conv workloads on every preset
+under the default policy (the exhaustive policy is held to the same bytes
+by ``TestSearchEquivalence``), the multicore attention chain's fusion
+decision on each link preset, and (slow) Table IV/V workloads.  Plan JSON
+holds integer tiles and exact DV/MU, never SLSQP's continuous landing
+point, so the digests are stable across solver internals that keep the
+canonical solution.
 """
 
+import hashlib
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -39,11 +45,11 @@ def conv_workload():
 WORKLOADS = [gemm_workload, conv_workload]
 
 
-def serialized_plan(chain, hw, policy, engine=None):
+def serialized_plan(chain, hw, policy):
     solve_memo().clear()
     reset_search_stats()
     clear_tables_memo()
-    plan = ChimeraOptimizer(hw, policy=policy, engine=engine).optimize(chain)
+    plan = ChimeraOptimizer(hw, policy=policy).optimize(chain)
     return json.dumps(plan_to_dict(plan), sort_keys=True)
 
 
@@ -94,72 +100,146 @@ class TestSearchEquivalence:
         assert parallel == baseline
 
 
-@pytest.mark.parametrize("hw", PRESETS, ids=lambda h: h.name)
+GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_plans.json"
+
+#: Table IV/V workloads pinned in the slow suite.
+PAPER_WORKLOADS = ("G1", "G4", "C4", "C6")
+
+
+def multicore_attention():
+    return batch_gemm_chain(
+        8, 256, 64, 64, 256, with_softmax=True, name="equiv_mc"
+    )
+
+
+def paper_chain(name):
+    from repro.workloads import conv_chain_config, gemm_chain_config
+
+    if name.startswith("G"):
+        return gemm_chain_config(name).build()
+    return conv_chain_config(name).build()
+
+
+def decision_json(decision):
+    """A whole fusion decision, chosen core count included."""
+    return json.dumps(
+        {
+            "use_fusion": decision.use_fusion,
+            "fused": (
+                None
+                if decision.fused_plan is None
+                else plan_to_dict(decision.fused_plan)
+            ),
+            "unfused": [
+                plan_to_dict(plan) for plan in decision.unfused_plans
+            ],
+        },
+        sort_keys=True,
+    )
+
+
+def multicore_decision(hw):
+    from repro.core.fusion import decide_fusion
+
+    clear_global_memos()
+    return decision_json(decide_fusion(multicore_attention(), hw))
+
+
+def golden_cases():
+    """``(case id, serializer, slow)`` for every pinned plan or decision.
+
+    The equivalence workloads on every preset under the default policy,
+    the multicore attention chain's fusion decision on each link preset,
+    and (slow) Table IV/V workloads on every preset.
+    """
+    cases = []
+    for build, label in zip(WORKLOADS, ("gemm_chain", "conv_chain")):
+        for hw in PRESETS:
+            cases.append((
+                f"{label}-default-{hw.name}",
+                lambda b=build, h=hw: serialized_plan(b(), h, SearchPolicy()),
+                False,
+            ))
+    for hw in multicore_presets():
+        cases.append((
+            f"decision-equiv_mc-{hw.name}",
+            lambda h=hw: multicore_decision(h),
+            False,
+        ))
+    for name in PAPER_WORKLOADS:
+        for hw in PRESETS:
+            cases.append((
+                f"{name}-default-{hw.name}",
+                lambda n=name, h=hw: serialized_plan(
+                    paper_chain(n), h, SearchPolicy()
+                ),
+                True,
+            ))
+    return cases
+
+
+GOLDEN_CASES = golden_cases()
+
+
+def digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())["digests"]
+
+
 @pytest.mark.parametrize(
-    "build", WORKLOADS, ids=["gemm_chain", "conv_chain"]
+    "case_id,serialize",
+    [
+        pytest.param(
+            case_id,
+            serialize,
+            id=case_id,
+            marks=[pytest.mark.slow] if slow else [],
+        )
+        for case_id, serialize, slow in GOLDEN_CASES
+    ],
 )
-class TestEngineEquivalence:
-    """Scalar vs. tables engines must pick byte-identical plans."""
+def test_plan_matches_golden(case_id, serialize, golden, monkeypatch):
+    """Every pinned plan and decision serializes to its recorded bytes.
 
-    def test_tables_plan_is_byte_identical(self, build, hw):
-        chain = build()
-        policy = SearchPolicy(prune=True, memoize=True, workers=1)
-        scalar = serialized_plan(chain, hw, policy, engine="scalar")
-        tables = serialized_plan(chain, hw, policy, engine="tables")
-        assert tables == scalar
+    The digests hold the full placement search, so a forced placement
+    width (``REPRO_CORES``) must not narrow it here.
+    """
+    monkeypatch.delenv("REPRO_CORES", raising=False)
+    assert digest(serialize()) == golden[case_id]
 
-    def test_tables_exhaustive_plan_is_byte_identical(self, build, hw):
-        chain = build()
-        scalar = serialized_plan(
-            chain, hw, SearchPolicy.exhaustive(), engine="scalar"
+
+def record_golden():
+    """Rewrite :data:`GOLDEN_PATH` from the current code.
+
+    Only for a change that moves plans on purpose — a refactor must pass
+    the recorded file unedited.
+    """
+    os.environ.pop("REPRO_CORES", None)
+    digests = {
+        case_id: digest(serialize())
+        for case_id, serialize, _ in GOLDEN_CASES
+    }
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(
+        json.dumps(
+            {
+                "description": (
+                    "sha256 of json.dumps(plan_to_dict(plan), "
+                    "sort_keys=True) per case of "
+                    "tests/test_search_equivalence.py::golden_cases "
+                    "(decision cases hash the decide_fusion JSON)"
+                ),
+                "digests": digests,
+            },
+            indent=2,
+            sort_keys=True,
         )
-        tables = serialized_plan(
-            chain, hw, SearchPolicy.exhaustive(), engine="tables"
-        )
-        assert tables == scalar
-
-
-@pytest.mark.parametrize(
-    "hw", multicore_presets(), ids=lambda h: h.name
-)
-class TestMulticoreEngineEquivalence:
-    """Fusion decisions on link-bearing presets must not depend on the
-    engine: the partitioned-placement search batches its communication
-    volumes through the tables engine, and the whole decision (including
-    the chosen core count) must serialize byte-identically to scalar."""
-
-    def test_decision_is_byte_identical(self, hw):
-        from repro.core.fusion import decide_fusion
-
-        chain = batch_gemm_chain(
-            8, 256, 64, 64, 256, with_softmax=True, name="equiv_mc"
-        )
-        decisions = {}
-        saved = os.environ.get("REPRO_MODEL_ENGINE")
-        try:
-            for engine in ("scalar", "tables"):
-                os.environ["REPRO_MODEL_ENGINE"] = engine
-                solve_memo().clear()
-                reset_search_stats()
-                clear_tables_memo()
-                decision = decide_fusion(chain, hw)
-                decisions[engine] = json.dumps(
-                    {
-                        "use_fusion": decision.use_fusion,
-                        "fused": plan_to_dict(decision.fused_plan),
-                        "unfused": [
-                            plan_to_dict(p)
-                            for p in decision.unfused_plans
-                        ],
-                    },
-                    sort_keys=True,
-                )
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_MODEL_ENGINE", None)
-            else:
-                os.environ["REPRO_MODEL_ENGINE"] = saved
-        assert decisions["tables"] == decisions["scalar"]
+        + "\n"
+    )
 
 
 def perturbed_gemm():
@@ -179,21 +259,7 @@ WARM_PAIRS = [
 
 
 def canonical_decision(served):
-    decision = served.result.decision
-    return json.dumps(
-        {
-            "use_fusion": decision.use_fusion,
-            "fused": (
-                None
-                if decision.fused_plan is None
-                else plan_to_dict(decision.fused_plan)
-            ),
-            "unfused": [
-                plan_to_dict(plan) for plan in decision.unfused_plans
-            ],
-        },
-        sort_keys=True,
-    )
+    return decision_json(served.result.decision)
 
 
 def clear_global_memos():
@@ -278,23 +344,6 @@ class TestWarmStartEquivalence:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("hw", PRESETS, ids=lambda h: h.name)
-@pytest.mark.parametrize("name", ["G1", "G4", "C4", "C6"])
-def test_engine_plan_sweep_paper_workloads(name, hw):
-    """Byte-identical-plan sweep over Table IV/V workloads × presets."""
-    from repro.workloads import conv_chain_config, gemm_chain_config
-
-    if name.startswith("G"):
-        chain = gemm_chain_config(name).build()
-    else:
-        chain = conv_chain_config(name).build()
-    policy = SearchPolicy(prune=True, memoize=True, workers=1)
-    scalar = serialized_plan(chain, hw, policy, engine="scalar")
-    tables = serialized_plan(chain, hw, policy, engine="tables")
-    assert tables == scalar
-
-
-@pytest.mark.slow
 def test_parallel_two_workers_matches_exhaustive():
     """The pool path must agree even without the env opt-in (slow suite)."""
     chain = gemm_workload()
@@ -304,3 +353,7 @@ def test_parallel_two_workers_matches_exhaustive():
         chain, hw, SearchPolicy(prune=False, memoize=False, workers=2)
     )
     assert parallel == baseline
+
+
+if __name__ == "__main__":
+    record_golden()

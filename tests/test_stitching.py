@@ -11,7 +11,7 @@ family x hardware preset:
    schedule must be strictly below the unstitched per-node schedules
    (the round trip of every bridge tensor disappears).
 3. **Determinism** — plans must stay byte-identical across cold/warm
-   service caches and across the scalar/tables movement-model engines.
+   service caches.
 
 It also fuzzes the stitching partitioner over random DAGs with
 interleaved memory-intensive ops, pins the prologue regression
@@ -171,9 +171,7 @@ class TestDifferentialStitching:
         )
 
     @pytest.mark.parametrize("family", sorted(FAMILIES), ids=str)
-    def test_plans_byte_identical_across_caches_and_engines(
-        self, family, tmp_path, monkeypatch
-    ):
+    def test_plans_byte_identical_across_caches(self, family, tmp_path):
         dag = FAMILIES[family]()
         hw = xeon_gold_6240()
         baseline = network_plan_json(compile_network(dag, hw))
@@ -184,10 +182,6 @@ class TestDifferentialStitching:
         assert network_plan_json(cold) == baseline
         assert network_plan_json(warm) == baseline
         assert service.stats()["hits"] == len(warm.nodes)
-
-        for engine in ("scalar", "tables"):
-            monkeypatch.setenv("REPRO_MODEL_ENGINE", engine)
-            assert network_plan_json(compile_network(dag, hw)) == baseline
 
 
 # ----------------------------------------------------------------------
