@@ -11,7 +11,10 @@ Refactors of the optimizer must not move a plan either:
 ``tests/data/golden_plans.json`` — GEMM + conv workloads on every preset
 under the default policy (the exhaustive policy is held to the same bytes
 by ``TestSearchEquivalence``), the multicore attention chain's fusion
-decision on each link preset, and (slow) Table IV/V workloads.  Plan JSON
+decision on each link preset, and (slow) Table IV/V workloads — as
+plans on every preset, and as the whole ``compile_chain`` fusion decision
+(unfused per-op plans and multi-core placement included) on the four
+presets the repository benchmark compiles.  Plan JSON
 holds integer tiles and exact DV/MU, never SLSQP's continuous landing
 point, so the digests are stable across solver internals that keep the
 canonical solution.
@@ -105,6 +108,9 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_plans.json"
 #: Table IV/V workloads pinned in the slow suite.
 PAPER_WORKLOADS = ("G1", "G4", "C4", "C6")
 
+#: Presets whose whole Table IV/V fusion decisions are pinned (slow).
+DECISION_PRESETS = ("xeon-gold-6240", "a100", "ascend-910", "mesh-npu-16")
+
 
 def multicore_attention():
     return batch_gemm_chain(
@@ -145,13 +151,26 @@ def multicore_decision(hw):
     return decision_json(decide_fusion(multicore_attention(), hw))
 
 
+def paper_decision(chain, hw):
+    """The fusion decision ``compile_chain`` makes for ``chain`` on ``hw``."""
+    from repro.core.fusion import decide_fusion
+    from repro.runtime.pipeline import chimera_config
+
+    clear_global_memos()
+    return decision_json(decide_fusion(chain, hw, chimera_config(chain, hw)))
+
+
 def golden_cases():
     """``(case id, serializer, slow)`` for every pinned plan or decision.
 
     The equivalence workloads on every preset under the default policy,
     the multicore attention chain's fusion decision on each link preset,
-    and (slow) Table IV/V workloads on every preset.
+    and (slow) Table IV/V workloads on every preset, plus every plain
+    Table IV/V chain's fusion decision on :data:`DECISION_PRESETS`.
     """
+    from repro.hardware import preset
+    from repro.workloads import TABLE_IV, TABLE_V
+
     cases = []
     for build, label in zip(WORKLOADS, ("gemm_chain", "conv_chain")):
         for hw in PRESETS:
@@ -173,6 +192,13 @@ def golden_cases():
                 lambda n=name, h=hw: serialized_plan(
                     paper_chain(n), h, SearchPolicy()
                 ),
+                True,
+            ))
+    for row in TABLE_IV + TABLE_V:
+        for name in DECISION_PRESETS:
+            cases.append((
+                f"decision-{row.name}-{name}",
+                lambda r=row, n=name: paper_decision(r.build(), preset(n)),
                 True,
             ))
     return cases
