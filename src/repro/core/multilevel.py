@@ -54,7 +54,6 @@ def solve_hierarchy(
     quanta: Optional[Mapping[str, int]] = None,
     constraints: Sequence[ConstraintFn] = (),
     constraints_token: Optional[Hashable] = None,
-    starts: int = 4,
     capacity_utilization: float = 0.75,
     policy: Optional[SearchPolicy] = None,
     stats: Optional[SearchStats] = None,
@@ -66,8 +65,9 @@ def solve_hierarchy(
     symmetric orders still report their own order) when ``policy`` allows;
     ``constraints_token`` keeps constrained solves memoizable.  ``hint``
     (a neighboring shape's per-level tiles) warm-starts each level's
-    solve without changing its result — the solver's canonical descent
-    collapses the DV-flat ridge, so the hint stays out of the memo key.
+    solve, which is meant to keep its result — the solver's canonical
+    descent collapses the DV-flat ridge — so the hint stays out of the
+    memo key.
 
     Returns:
         schedules innermost-first (matching ``HardwareSpec.on_chip_levels``).
@@ -91,7 +91,6 @@ def solve_hierarchy(
             constraints=constraints,
             constraints_token=constraints_token,
             max_parent=parent_tiles,
-            starts=starts,
             policy=policy,
             digest=digest,
             stats=stats,

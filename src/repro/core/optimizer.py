@@ -54,7 +54,6 @@ class ChimeraConfig:
         quanta: per-loop tile quanta (e.g. 16 for tensor-core dimensions).
         top_candidates: orders that get the full constrained solve after
             the cheap probe ranking.
-        starts: SLSQP multi-start count per solve.
         capacity_utilization: fraction of each level's per-block capacity
             the MU constraint may use.  Hardware LRU caches need headroom —
             a working set sized exactly to capacity thrashes — so, like
@@ -67,7 +66,6 @@ class ChimeraConfig:
     min_tiles: Optional[Mapping[str, int]] = None
     quanta: Optional[Mapping[str, int]] = None
     top_candidates: int = 64
-    starts: int = 4
     capacity_utilization: float = 0.75
 
 
@@ -143,7 +141,7 @@ class UnifiedBufferConstraint:
 class OptimizeStats:
     """Diagnostics of one optimizer run (used by the overhead benchmark).
 
-    ``solves`` counts actual SLSQP solves; memo hits and pruned candidates
+    ``solves`` counts actual tile solves; memo hits and pruned candidates
     are reported separately, so ``solves + memo_hits + pruned`` accounts
     for every candidate that reached the solve stage.
     """
@@ -196,9 +194,10 @@ class ChimeraOptimizer:
                 ``repro.core.search.search_stats_snapshot``).
             hint: a neighboring shape's plan (same chain structure,
                 different extents).  Each level's search solves the
-                neighbor's winning order first and seeds SLSQP from its
-                tiles — a pure speed knob: pruning stays admissible and
-                the returned plan is identical to the cold run's.
+                neighbor's winning order first and refines each tile
+                solve from its tiles instead of running SLSQP — a speed
+                knob: pruning stays admissible and the returned plan is
+                meant to be identical to the cold run's.
             partitions: number of concurrently resident blocks to split
                 shared-level capacity across, when a chain is sharded over
                 that many cores (block-to-core partitioning).  ``None``
@@ -310,7 +309,6 @@ class ChimeraOptimizer:
                     constraints=constraints,
                     constraints_token=constraints_token,
                     max_parent=parent_tiles,
-                    starts=self.config.starts,
                     hard_min_tiles=level_hard_min,
                     policy=self.policy,
                     stats=search_stats,
@@ -397,7 +395,6 @@ class ChimeraOptimizer:
             quanta=self.config.quanta,
             constraints=constraints,
             constraints_token=self.constraints_token(constraints),
-            starts=self.config.starts,
             capacity_utilization=self.config.capacity_utilization,
             policy=self.policy,
             hint=hint,

@@ -294,9 +294,9 @@ class SolveMemo:
     Keys cover every input that influences :func:`solve_tiles`: the chain
     content, the movement-model signature (equal signatures induce
     bit-identical DV/MU functions — multiplier tuples are stored sorted),
-    capacity, bounds, quanta, start count and a caller-provided token for
-    non-hashable extra constraints.  Entries whose constraints have no
-    token are never cached.
+    capacity, bounds, quanta and a caller-provided token for non-hashable
+    extra constraints.  Entries whose constraints have no token are never
+    cached.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -370,7 +370,6 @@ def memo_key(
     quanta: Optional[Mapping[str, int]],
     max_parent: Optional[Mapping[str, int]],
     hard_min_tiles: Optional[Mapping[str, int]],
-    starts: int,
     constraints_token: Optional[Hashable],
     by_signature: bool = True,
 ) -> Hashable:
@@ -390,7 +389,6 @@ def memo_key(
         _sorted_items(quanta),
         _sorted_items(max_parent),
         _sorted_items(hard_min_tiles),
-        int(starts),
         constraints_token,
     )
 
@@ -437,7 +435,7 @@ def _solve_payload(payload: Tuple) -> TileSolution:
     The warm-start hint travels in the payload (a plain dict of floats,
     picklable).
     """
-    (model, capacity, min_tiles, quanta, constraints, max_parent, starts,
+    (model, capacity, min_tiles, quanta, constraints, max_parent,
      hard_min_tiles, x0_hint) = payload
     return solve_tiles(
         model,
@@ -446,7 +444,6 @@ def _solve_payload(payload: Tuple) -> TileSolution:
         quanta=quanta,
         constraints=constraints,
         max_parent=max_parent,
-        starts=starts,
         hard_min_tiles=hard_min_tiles,
         x0_hint=x0_hint,
     )
@@ -470,11 +467,11 @@ class _Solver:
         self.capacity = capacity
         self.kwargs = solve_kwargs
         # The warm-start hint travels to every solve but stays OUT of the
-        # memo key: a hinted solve converges somewhere on the same
-        # DV-flat ridge as the multi-start sweep, and the solver's
-        # canonical descent collapses every ridge point to one integer
-        # solution — so the hint changes how fast a solve runs, never
-        # what it returns.
+        # memo key: a hinted solve refines from the hint instead of from
+        # SLSQP's landing point, and the solver's canonical descent
+        # collapses both entry points to one integer solution on every
+        # shape the warm-start tests pin — so the hint is meant to change
+        # how fast a solve runs, not what it returns.
         self.x0_hint = dict(x0_hint) if x0_hint else None
         self.policy = policy
         self.stats = stats
@@ -499,7 +496,6 @@ class _Solver:
             quanta=self.kwargs.get("quanta"),
             max_parent=self.kwargs.get("max_parent"),
             hard_min_tiles=self.kwargs.get("hard_min_tiles"),
-            starts=self.kwargs.get("starts", 4),
             constraints_token=self.constraints_token,
         )
 
@@ -520,7 +516,6 @@ class _Solver:
             self.kwargs.get("quanta"),
             tuple(self.kwargs.get("constraints") or ()),
             self.kwargs.get("max_parent"),
-            self.kwargs.get("starts", 4),
             self.kwargs.get("hard_min_tiles"),
             self.x0_hint,
         )
@@ -622,7 +617,6 @@ def search_tiles(
     constraints: Sequence[ConstraintFn] = (),
     constraints_token: Optional[Hashable] = None,
     max_parent: Optional[Mapping[str, int]] = None,
-    starts: int = 4,
     hard_min_tiles: Optional[Mapping[str, int]] = None,
     policy: Optional[SearchPolicy] = None,
     stats: Optional[SearchStats] = None,
@@ -651,9 +645,10 @@ def search_tiles(
         x0_hint: warm-start tiles forwarded to every candidate's
             :func:`solve_tiles` call (loop names are shared across orders
             of one chain, so a neighbor's tile magnitudes transfer).  The
-            solver's canonical descent makes hinted and cold solves
-            return the identical integer solution, so the hint changes
-            how fast the search runs, never its result.
+            solver's canonical descent carries a near-optimal hint to the
+            cold solve's integer solution, so the hint is meant to change
+            how fast the search runs, not its result (see
+            :func:`solve_tiles` for where that can fail).
         incumbent_hint: a neighboring shape's winning order.  The matching
             candidate (exact permutation or DV-signature twin) is solved
             *first*, so the DV lower bound prunes against a near-optimal
@@ -676,7 +671,6 @@ def search_tiles(
         "quanta": quanta,
         "constraints": tuple(constraints),
         "max_parent": max_parent,
-        "starts": starts,
         "hard_min_tiles": hard_min_tiles,
     }
     solver = _Solver(
@@ -784,7 +778,6 @@ def memoized_solve_tiles(
     constraints: Sequence[ConstraintFn] = (),
     constraints_token: Optional[Hashable] = None,
     max_parent: Optional[Mapping[str, int]] = None,
-    starts: int = 4,
     hard_min_tiles: Optional[Mapping[str, int]] = None,
     policy: Optional[SearchPolicy] = None,
     digest: Optional[str] = None,
@@ -797,8 +790,8 @@ def memoized_solve_tiles(
     that deliberately compare symmetric orders still solve under their own
     order while repeated solves of the same order hit the memo.
     ``x0_hint`` is not part of the key — the solver canonicalizes the
-    refined integer point across the DV-flat ridge, so a warm start
-    changes solve latency, never the solution.
+    refined integer point across the DV-flat ridge, so a warm start is
+    meant to change solve latency, not the solution.
     """
     policy = policy or SearchPolicy.from_env()
     local = SearchStats()
@@ -818,7 +811,6 @@ def memoized_solve_tiles(
             quanta=quanta,
             max_parent=max_parent,
             hard_min_tiles=hard_min_tiles,
-            starts=starts,
             constraints_token=constraints_token,
             by_signature=False,
         )
@@ -834,7 +826,6 @@ def memoized_solve_tiles(
             quanta=quanta,
             constraints=constraints,
             max_parent=max_parent,
-            starts=starts,
             hard_min_tiles=hard_min_tiles,
             x0_hint=x0_hint,
         )

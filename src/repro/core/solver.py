@@ -7,12 +7,17 @@ then floor-rounds to integers and picks the best feasible integer candidate.
 
 This module implements the same recipe for *arbitrary* chains:
 
-* the continuous problem is solved numerically (SLSQP in log-tile space,
-  multiple deterministic starts) — this is the general-purpose stand-in for
-  the per-shape Lagrange derivation.  The objective and every constraint
-  feed SLSQP *analytic* log-space gradients (Algorithm 1 is a product of
-  affine spans, so the partials are closed-form) instead of finite
-  differences, which removes the dominant cost of a cold compile;
+* the continuous problem is solved numerically by one SLSQP run in
+  log-tile space — the general-purpose stand-in for the per-shape
+  Lagrange derivation.  The problem is geometric-programming-like
+  (posynomial DV against monotone footprints), so one run suffices; it
+  starts from the log-midpoint of every loop's ``[lower, upper]`` range,
+  shrunk toward the lower bounds until MU fits (:func:`_project_feasible`).
+  A warm start (``x0_hint``) skips SLSQP and refines from the projected
+  hint instead.  The objective and every
+  constraint feed SLSQP *analytic* log-space gradients (Algorithm 1 is a
+  product of affine spans, so the partials are closed-form) instead of
+  finite differences;
 * DV/MU evaluation goes through the compiled tables of
   :mod:`repro.core.tables`, which replay :class:`MovementModel`'s exact
   floating-point operation sequence (the model stays the test oracle);
@@ -29,12 +34,16 @@ This module implements the same recipe for *arbitrary* chains:
   loop's aligned tile range (:func:`_canonical_descent`).  The exact
   ceil-based DV is piecewise constant, so the continuous optimum sits on
   a DV-flat ridge whose floor/ceil lattice depends on *which* ridge point
-  SLSQP converged to; the scan collapses every ridge point to the same
-  integer solution.  That makes the returned solution independent of the
-  SLSQP starting point — the property that lets warm-started (single
-  start, ``x0_hint``) and cold (multi-start sweep) solves return
-  byte-identical plans — and, as a bonus, canonical points never waste
-  memory: among equal-DV tiles the scan keeps the smallest MU.
+  SLSQP converged to; the scan collapses nearby ridge points to the same
+  integer solution, and as a bonus canonical points never waste memory:
+  among equal-DV tiles the scan keeps the smallest MU.  The scan is a
+  local search, though: started far from the continuous optimum (say,
+  at the raw log-midpoint) it can stall in a worse valley, which is why
+  a cold refinement always starts from SLSQP's landing point;
+* when even all-ones tiles do not fit, the answer is those tiles marked
+  ``feasible=False``.  MU and the extra constraints are monotone in every
+  tile, so that verdict needs neither a start point nor a continuous
+  solve.
 """
 
 from __future__ import annotations
@@ -54,8 +63,8 @@ ConstraintFn = Callable[[Mapping[str, float]], float]
 
 #: Largest 2-D grid the canonical descent's pairwise pass will score.
 #: Depends only on bounds and quanta — never on where SLSQP landed — so
-#: skipping an oversized pair is itself start-invariant.  4096 rows is one
-#: cheap batched evaluation.
+#: skipping an oversized pair is the same decision from every landing
+#: point.  4096 rows is one cheap batched evaluation.
 _PAIR_SCAN_CAP = 4096
 
 
@@ -69,14 +78,12 @@ class TileSolution:
         dv: exact data movement volume at ``tiles``, bytes.
         mu: exact memory usage at ``tiles``, bytes.
         feasible: whether ``mu`` (and all extra constraints) fit capacity.
-        continuous: the pre-rounding real-valued solution, for diagnostics.
     """
 
     tiles: Dict[str, int]
     dv: float
     mu: float
     feasible: bool
-    continuous: Dict[str, float]
 
 
 def _full_tiles(model: MovementModel, tiles: Mapping[str, int]) -> Dict[str, int]:
@@ -95,7 +102,6 @@ def solve_tiles(
     quanta: Optional[Mapping[str, int]] = None,
     constraints: Sequence[ConstraintFn] = (),
     max_parent: Optional[Mapping[str, int]] = None,
-    starts: int = 4,
     hard_min_tiles: Optional[Mapping[str, int]] = None,
     x0_hint: Optional[Mapping[str, float]] = None,
 ) -> TileSolution:
@@ -118,22 +124,17 @@ def solve_tiles(
             jacobian; others fall back to finite differences.
         max_parent: per-loop upper bounds below the loop extent — used for
             inner memory levels, whose tiles nest inside the parent level's.
-        starts: number of deterministic multi-start points for SLSQP.
         hard_min_tiles: lower bounds that are never relaxed (the outer-level
             pins on producer-private reductions).
         x0_hint: warm-start tile vector (e.g. a neighboring shape's solved
-            tiles).  When given, the continuous SLSQP stage is skipped
-            entirely: the hint — clipped into bounds and projected
-            feasible — feeds the integer refinement directly, whose
-            :func:`_canonical_descent` performs *global* per-coordinate
-            scans (plus pairwise merges) over the aligned grids and so
-            reaches the canonical ridge corner from any near-optimal
-            entry point, exactly where the multi-start sweep's refinement
-            lands.  If the hinted refinement comes back infeasible, the
-            full sweep runs as the fallback.  A hint therefore only
-            changes how fast the solve runs, never the returned solution
-            (``continuous`` is diagnostics-only and records the projected
-            hint), and callers must keep it out of memo keys.
+            tiles).  When given, SLSQP is skipped: the hint — clipped into
+            bounds, projected feasible, with the log-midpoint for loops it
+            does not name — feeds the integer refinement directly, and
+            the canonical descent carries a near-optimal entry point to
+            the cold solve's integer solution.  A hint is therefore meant
+            to change how fast the solve runs, not what it returns, and
+            callers keep it out of memo keys; but the descent is a local
+            search, so a far-off hint can end on a different point.
 
     Returns:
         the best feasible integer solution found; ``feasible=False`` with
@@ -177,7 +178,6 @@ def solve_tiles(
             float(evaluator.volume_exact_batch(values.reshape(1, 0))[0]),
             evaluator.usage(values),
             fits_vector(values),
-            {},
         )
 
     lower = lower_for(min_tiles)
@@ -186,6 +186,14 @@ def solve_tiles(
         lower = lower_for({})
 
     size = len(names)
+    ones = np.ones((1, size))
+    if (
+        evaluator.usage_batch(ones)[0] > capacity
+        or not evaluator.constraints_ok_batch(ones)[0]
+    ):
+        # MU and the extra constraints are monotone in every tile, so
+        # nothing fits, whatever the start.
+        return _all_ones(model, evaluator, ones)
 
     # SLSQP evaluates the objective, the capacity slack, and their
     # jacobians at the same point in turn; share one exp(x) per point so
@@ -245,82 +253,62 @@ def solve_tiles(
         cons.append(entry)
 
     log_lower, log_upper = np.log(lower), np.log(upper)
-    bounds = list(zip(log_lower, log_upper))
-
-    best_x: Optional[np.ndarray] = None
-    best_val = math.inf
-
-    def attempt(x0: np.ndarray) -> None:
-        nonlocal best_x, best_val
-        try:
-            res = optimize.minimize(
-                objective,
-                x0,
-                jac=True,
-                method="SLSQP",
-                bounds=bounds,
-                constraints=cons,
-                options={"maxiter": 200, "ftol": 1e-9},
-            )
-        except (ValueError, RuntimeError):
-            return
-        if res.x is None:
-            return
-        x = np.clip(res.x, log_lower, log_upper)
-        if capacity_slack(x) < -1e-6 * capacity * inv_capacity:
-            return
-        val = objective(x)[0]
-        if val < best_val:
-            best_val, best_x = val, x
-
-    def refine_at(x: np.ndarray) -> TileSolution:
-        continuous = {n: float(v) for n, v in zip(names, np.exp(x))}
-        solution = _integer_refine(
-            model,
-            continuous,
-            capacity,
-            names,
-            lower,
-            upper,
-            quanta,
-            constraints,
-            evaluator=evaluator,
-        )
-        return dataclasses.replace(solution, continuous=continuous)
-
     if x0_hint:
-        # Warm start: skip SLSQP altogether.  The canonical descent's
-        # single-coordinate scans are *global* per-coordinate argmins over
-        # the aligned grids (and its pair scans merge product-flat
-        # valleys), so the projected hint — near-optimal for a neighboring
-        # shape — lands in the canonical corner's basin without a
-        # continuous solve.  ``continuous`` is diagnostics-only and
-        # records the projected hint.  If the hinted refinement comes back
-        # infeasible the full sweep below runs instead, so a degraded hint
-        # can change latency but never the returned solution.
-        mid = (log_lower + log_upper) / 2
-        logs = mid.copy()
+        logs = (log_lower + log_upper) / 2
         for idx, name in enumerate(names):
             value = x0_hint.get(name)
             if value is not None and value > 0:
                 logs[idx] = math.log(float(value))
-        x0 = np.clip(logs, log_lower, log_upper)
-        hinted = refine_at(_project_feasible(x0, capacity_slack, log_lower))
-        if hinted.feasible:
-            return hinted
-
-    # Cold path — and the fallback when the hinted refinement fails.
-    for start_idx in range(max(1, starts)):
-        frac = start_idx / max(1, starts - 1) if starts > 1 else 0.5
-        x0 = log_lower + frac * (log_upper - log_lower)
-        attempt(_project_feasible(x0, capacity_slack, log_lower))
-
-    if best_x is None:
-        best_x = _project_feasible(
-            (log_lower + log_upper) / 2, capacity_slack, log_lower
+        x = _project_feasible(
+            np.clip(logs, log_lower, log_upper), capacity_slack, log_lower
         )
+    else:
+        x = _project_feasible(
+            log_lower + 0.5 * (log_upper - log_lower),
+            capacity_slack,
+            log_lower,
+        )
+        try:
+            res = optimize.minimize(
+                objective,
+                x,
+                jac=True,
+                method="SLSQP",
+                bounds=list(zip(log_lower, log_upper)),
+                constraints=cons,
+                options={"maxiter": 200, "ftol": 1e-9},
+            )
+        except (ValueError, RuntimeError):
+            res = None
+        if res is not None and res.x is not None:
+            landed = np.clip(res.x, log_lower, log_upper)
+            # A landing point that violates capacity is discarded: the
+            # refinement then starts from the projected seed instead.
+            if capacity_slack(landed) >= -1e-6 * capacity * inv_capacity:
+                x = landed
+    return _integer_refine(
+        model,
+        {n: float(v) for n, v in zip(names, np.exp(x))},
+        capacity,
+        names,
+        lower,
+        upper,
+        quanta,
+        constraints,
+        evaluator=evaluator,
+    )
 
-    return refine_at(best_x)
+
+def _all_ones(
+    model: MovementModel, evaluator: TablesEvaluator, ones: np.ndarray
+) -> TileSolution:
+    """The infeasible verdict: all-ones tiles, which do not fit."""
+    return TileSolution(
+        _full_tiles(model, {}),
+        float(evaluator.volume_exact_batch(ones)[0]),
+        float(evaluator.usage_batch(ones)[0]),
+        False,
+    )
 
 
 def _project_feasible(
@@ -420,11 +408,11 @@ def _canonical_descent(
     """Collapse a feasible integer point to its canonical ridge corner.
 
     The exact (ceil-based) DV is piecewise constant in every tile, so the
-    continuous optimum sits on a DV-flat ridge: two converged SLSQP runs
-    (e.g. a warm-started solve and the multi-start sweep) can land on
-    different ridge points whose floor/ceil lattices disagree — same DV,
-    different tiles.  This scan makes the *returned* integer solution a
-    function of the ridge, not of the landing point:
+    continuous optimum sits on a DV-flat ridge: SLSQP's landing point and
+    a warm-start hint can sit on different ridge points whose floor/ceil
+    lattices disagree — same DV, different tiles.  This scan moves the
+    *returned* integer solution toward a function of the ridge, not of
+    the entry point:
 
     * **single-coordinate passes** cycle over the loops in order and move
       each tile to the feasible aligned value minimizing ``(DV, MU,
@@ -441,6 +429,9 @@ def _canonical_descent(
     The candidate grids depend only on the bounds and quanta, each
     accepted move strictly decreases the ``(DV, MU, tiles)`` key (so the
     scan terminates), and each grid is scored in one batched evaluation.
+    It is still a local search, not a proof of start invariance: entry
+    points far apart (say, the raw log-midpoint and the continuous
+    optimum, or a far-off hint) can stall in different valleys.
     """
     current = dict(tiles)
     names = list(names)
@@ -625,7 +616,7 @@ def _integer_refine(
             constraints,
             evaluator=evaluator,
         )
-        return TileSolution(tiles, dv, mu, True, {})
+        return TileSolution(tiles, dv, mu, True)
 
     # No feasible lattice point: shrink the min-MU candidate geometrically.
     shrunk = lattice[int(np.lexsort((dv_all, mu_all))[0])].reshape(1, -1)
@@ -645,16 +636,9 @@ def _integer_refine(
                 constraints,
                 evaluator=evaluator,
             )
-            return TileSolution(tiles, dv, mu, True, {})
+            return TileSolution(tiles, dv, mu, True)
         shrunk = np.maximum(1.0, np.floor(shrunk / 2))
-    ones = np.ones((1, len(names)))
-    return TileSolution(
-        _full_tiles(model, {}),
-        float(evaluator.volume_exact_batch(ones)[0]),
-        float(evaluator.usage_batch(ones)[0]),
-        False,
-        {},
-    )
+    return _all_ones(model, evaluator, np.ones((1, len(names))))
 
 
 def gemm_chain_closed_form(

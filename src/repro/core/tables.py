@@ -119,12 +119,14 @@ class _ConstraintTable:
 
     def batch(self, rows: np.ndarray) -> np.ndarray:
         usage = np.zeros(rows.shape[0])
+        shifted = rows - 1.0
         for acc in self.accesses:
             footprint = None
             for dim in acc.dims:
-                span = np.ones(rows.shape[0])
+                span = 1.0
                 for col, coeff in dim:
-                    span = span + coeff * (rows[:, col] - 1.0)
+                    step = shifted[:, col]
+                    span = span + (step if coeff == 1.0 else coeff * step)
                 footprint = span if footprint is None else footprint * span
             if footprint is None:
                 footprint = np.ones(rows.shape[0])
@@ -371,12 +373,18 @@ class MovementTables:
         return peak, peak_grad
 
     # -- batched (N, L) paths ------------------------------------------
+    # Bit-exact shortcuts: each span starts as the scalar 1.0 (``1.0 + v``
+    # is the same IEEE operation on every row as ``np.ones(N) + v``),
+    # ``rows - 1.0`` is computed once per call, and unit coefficients skip
+    # their multiply (``1.0 * x == x``).  The bound bisections call these
+    # in tight loops on small batches.
     def volume_batch(
         self, rows: np.ndarray, *, exact: bool = True
     ) -> np.ndarray:
         """DV for every row of an ``(N, L)`` candidate-tile matrix."""
         count = rows.shape[0]
         volume = np.zeros(count)
+        shifted = rows - 1.0
         for term in self.terms:
             if exact:
                 dm: Any = None
@@ -389,12 +397,15 @@ class MovementTables:
                     )
                 footprint = None
                 for dim in term.dims:
-                    span = np.ones(count)
+                    span = 1.0
                     for col, coeff in dim:
                         value = eff.get(col)
-                        if value is None:
-                            value = rows[:, col]
-                        span = span + coeff * (value - 1.0)
+                        step = (
+                            shifted[:, col] if value is None else value - 1.0
+                        )
+                        span = span + (
+                            step if coeff == 1.0 else coeff * step
+                        )
                     footprint = (
                         span if footprint is None else footprint * span
                     )
@@ -407,9 +418,12 @@ class MovementTables:
             else:
                 footprint = None
                 for dim in term.dims:
-                    span = np.ones(count)
+                    span = 1.0
                     for col, coeff in dim:
-                        span = span + coeff * (rows[:, col] - 1.0)
+                        step = shifted[:, col]
+                        span = span + (
+                            step if coeff == 1.0 else coeff * step
+                        )
                     footprint = (
                         span if footprint is None else footprint * span
                     )
@@ -425,17 +439,21 @@ class MovementTables:
         """MU for every row of an ``(N, L)`` candidate-tile matrix."""
         count = rows.shape[0]
         peak = np.zeros(count)
+        shifted = rows - 1.0
         for entries in self.usage_ops:
             total = np.zeros(count)
             for acc in entries:
                 footprint = None
                 for dim in acc.dims:
-                    span = np.ones(count)
+                    span = 1.0
                     for col, coeff in dim:
-                        if col >= 0:
-                            span = span + coeff * (rows[:, col] - 1.0)
-                        else:
+                        if col < 0:
                             span = span + coeff
+                            continue
+                        step = shifted[:, col]
+                        span = span + (
+                            step if coeff == 1.0 else coeff * step
+                        )
                     footprint = (
                         span if footprint is None else footprint * span
                     )

@@ -13,7 +13,8 @@ optimizer through the types here:
   fused plan's hint plus one per-operator hint for the unfused
   alternatives, keyed by operator name.
 
-Hints change **how fast** the optimizer runs, never **what it returns**:
+Hints are meant to change **how fast** the optimizer runs, never **what
+it returns**:
 
 * an ``incumbent_hint`` (the neighbor's winning order) only *reorders* the
   candidate solve sequence — the hinted order is solved first, so the
@@ -21,26 +22,25 @@ Hints change **how fast** the optimizer runs, never **what it returns**:
   immediately.  The candidate set itself is untouched and pruning remains
   exact, so the winner under the ``(infeasible, dv, order)`` total order
   is unchanged;
-* an ``x0_hint`` (the neighbor's tiles) replaces the solver's deterministic
-  multi-start sweep with a single SLSQP run from the projected-feasible
-  hint point.  The continuous problem is geometric-programming-like in
-  log-tile space (posynomial DV against monotone constraints), so a
-  converged solve reaches the same optimal DV *value* regardless of
-  start — but not necessarily the same tile *point*: the exact
-  ceil-based DV is piecewise constant, so the optimum sits on a DV-flat
-  ridge and different starts land on different ridge points.  The
-  solver's canonical descent (``repro.core.solver._canonical_descent``)
-  collapses every ridge point to the same integer solution, which is
-  what makes a hinted solve return byte-for-byte what the multi-start
-  sweep returns; if the hinted run fails to converge, the solver falls
-  back to the full sweep.
+* an ``x0_hint`` (the neighbor's tiles) replaces the solver's SLSQP run:
+  the projected-feasible hint point feeds the integer refinement
+  directly.  The exact ceil-based DV is piecewise constant, so the
+  optimum sits on a DV-flat ridge, and the hint and SLSQP's landing
+  point can sit on different ridge points.  The solver's canonical
+  descent (``repro.core.solver._canonical_descent``) collapses a
+  near-optimal hint onto the cold solve's integer solution, which is
+  what makes a hinted solve return byte-for-byte what a cold one
+  returns on the shapes the warm-start tests and benchmark pin.  The
+  descent is a local search, so that is a measured property, not a
+  theorem: a far-off hint can end elsewhere.
 
-Because hints cannot change results, they stay **out** of every memo and
-cache key — the same stance the search policy takes.
+Because hints are not meant to change results, they stay **out** of
+every memo and cache key — the same stance the search policy takes.
 
-An adversarial (wrong-neighbor) hint therefore degrades gracefully: an
-order that matches no candidate is ignored, and tiles from an unrelated
-shape merely start SLSQP somewhere unhelpful.
+An adversarial (wrong-neighbor) hint degrades gracefully: an order that
+matches no candidate is ignored, and tiles from an unrelated shape enter
+the refinement somewhere unhelpful (``tests/test_search_equivalence.py``
+pins that the plan still matches the cold one on its shapes).
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Tests for the pruned/memoized/parallel order search layer."""
 
 import math
+import random
 
 import pytest
 
 from repro.core.movement import MovementModel
 from repro.core.optimizer import ChimeraOptimizer
-from repro.core.reordering import candidate_models
+from repro.core.reordering import candidate_models, producer_private_reductions
 from repro.core.search import (
     SearchPolicy,
     SearchStats,
@@ -22,7 +23,7 @@ from repro.core.search import (
 )
 from repro.core.solver import solve_tiles
 from repro.hardware import ascend_910, xeon_gold_6240
-from repro.ir.chains import batch_gemm_chain, gemm_chain
+from repro.ir.chains import batch_gemm_chain, conv_chain, gemm_chain, mlp_chain
 
 CAPACITY = 256 * 1024.0
 
@@ -143,7 +144,6 @@ class TestMemo:
             quanta=None,
             max_parent=None,
             hard_min_tiles=None,
-            starts=4,
             constraints_token=None,
         )
         solution = solve_tiles(model, CAPACITY)
@@ -267,3 +267,117 @@ class TestPruningExactness:
         assert pruned[1].tiles == baseline[1].tiles
         assert pruned[1].dv == baseline[1].dv
         assert stats.solves < len(models)  # pruning actually engaged
+
+
+#: Chains the warm-start fuzz searches: GEMM chains with and without
+#: softmax, conv chains with the 3x3 kernel first or second, an MLP.
+HINT_CHAINS = {
+    "gemm": lambda: gemm_chain(512, 256, 128, 384, name="hint_gemm"),
+    "batch_gemm": lambda: batch_gemm_chain(4, 256, 64, 64, 256,
+                                           name="hint_bgemm"),
+    "batch_gemm_softmax": lambda: batch_gemm_chain(
+        4, 256, 64, 64, 256, with_softmax=True, name="hint_attn"
+    ),
+    "conv_3x3_first": lambda: conv_chain(1, 32, 28, 28, 64, 32, 1, 1, 3, 1,
+                                         name="hint_conv31"),
+    "conv_3x3_second": lambda: conv_chain(1, 32, 28, 28, 64, 32, 1, 1, 1, 3,
+                                          name="hint_conv13"),
+    "mlp": lambda: mlp_chain(256, 128, 512, 128, name="hint_mlp"),
+}
+
+
+def _hint_outcome(pair):
+    model, solution = pair
+    return (model.perm, solution.tiles, solution.dv, solution.mu,
+            solution.feasible)
+
+
+class TestWarmStartOrderHint:
+    """A neighbor's winning order only reorders the solve sequence.
+
+    Seeded fuzz: for every chain, capacity (tight, medium, loose, and
+    below MU at all-ones tiles), the NPU Unified Buffer constraint and an
+    inner-level search (parent bounds, hard minimums), a search hinted
+    with a random candidate's order, a shuffled loop tuple or foreign
+    names returns exactly what the unhinted search returns.
+    """
+
+    POLICY = SearchPolicy(prune=True, memoize=False, workers=1)
+
+    def _assert_hint_free(self, models, capacity, rng, **kwargs):
+        cold = search_tiles(models, capacity, policy=self.POLICY, **kwargs)
+        names = list(models[0].perm)
+        hints = [
+            rng.choice(models).perm,
+            tuple(rng.sample(names, len(names))),
+            ("foreign",) + tuple(names[1:]),
+        ]
+        for hint in hints:
+            hinted = search_tiles(
+                models, capacity, policy=self.POLICY,
+                incumbent_hint=hint, **kwargs,
+            )
+            assert _hint_outcome(hinted) == _hint_outcome(cold), hint
+        return cold
+
+    @staticmethod
+    def _capacities(model):
+        extents = model.chain.loop_extents()
+        ones = model.usage({name: 1 for name in extents})
+        full = model.usage(dict(extents))
+        return [ones * (full / ones) ** f for f in (0.15, 0.45, 0.8)] + [
+            ones / 2
+        ]
+
+    @staticmethod
+    def _models(chain, rng, **kwargs):
+        models = list(candidate_models(chain, max_orders=2000,
+                                       **kwargs).models)
+        return rng.sample(models, min(8, len(models)))
+
+    @pytest.mark.parametrize("family", sorted(HINT_CHAINS))
+    def test_hint_never_changes_the_winner(self, family):
+        rng = random.Random(f"order-hint-{family}")
+        chain = HINT_CHAINS[family]()
+        models = self._models(chain, rng)
+        for capacity in self._capacities(models[0]):
+            self._assert_hint_free(models, capacity, rng)
+
+    @pytest.mark.parametrize("family", ["gemm", "batch_gemm_softmax", "mlp"])
+    def test_unified_buffer_search(self, family):
+        rng = random.Random(f"order-hint-ub-{family}")
+        chain = HINT_CHAINS[family]()
+        constraints = ChimeraOptimizer(ascend_910()).extra_constraints(chain)
+        assert constraints
+        models = self._models(chain, rng)
+        for capacity in self._capacities(models[0]):
+            self._assert_hint_free(
+                models, capacity, rng, constraints=constraints,
+                constraints_token=ChimeraOptimizer.constraints_token(
+                    constraints
+                ),
+            )
+
+    @pytest.mark.parametrize("family", ["batch_gemm", "conv_3x3_first"])
+    def test_inner_level_search(self, family):
+        """Outer level with the producer-private reductions pinned (hard
+        minimums), then the inner level nested under its tiles."""
+        rng = random.Random(f"order-hint-inner-{family}")
+        chain = HINT_CHAINS[family]()
+        extents = chain.loop_extents()
+        pins = {n: extents[n] for n in producer_private_reductions(chain)}
+        assert pins
+        models = self._models(chain, rng)
+        outer_model, outer = self._assert_hint_free(
+            models, self._capacities(models[0])[2], rng,
+            hard_min_tiles=pins,
+        )
+        parent = {name: outer.tiles[name] for name in outer_model.perm}
+        inner = self._models(
+            chain,
+            rng,
+            prefix=frozenset(n for n, t in parent.items() if t < extents[n]),
+            reuse_intermediates=False,
+        )
+        for capacity in self._capacities(inner[0])[:2]:
+            self._assert_hint_free(inner, capacity, rng, max_parent=parent)

@@ -341,9 +341,9 @@ class TestWarmStartEquivalence:
         """A hint from an unrelated chain must not change the plan.
 
         The order hint matches no candidate permutation (different loop
-        names), so it is ignored; foreign tile values at most start SLSQP
-        somewhere unhelpful, and the solver's fallback sweep still proves
-        the optimum.
+        names), so it is ignored; foreign tile values only enter the
+        integer refinement somewhere unhelpful, and its canonical descent
+        still lands on the cold solve's tiles for these shapes.
         """
         from repro.core.warmstart import plan_hint_from_dict
 
