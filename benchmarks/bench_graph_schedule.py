@@ -29,7 +29,7 @@ envelope):
   schedule produces each tensor one step before its only read, so no
   tensor spans an untouched step and eviction can never relieve a peak);
 * compiling twice yields byte-identical serialized plans (determinism
-  under the fixed ``REPRO_SCHED_SEED``).
+  under the fixed default annealing seed).
 
 Run standalone with ``python benchmarks/bench_graph_schedule.py
 [--smoke]``; smoke shrinks the graphs but enforces the same gates.

@@ -73,7 +73,7 @@ def run_pruning_experiment(smoke=False):
             chain, hw, SearchPolicy.exhaustive()
         )
         fast_plan, fast_stats, fast_s = cold_optimize(
-            chain, hw, SearchPolicy(prune=True, memoize=True, workers=1)
+            chain, hw, SearchPolicy(prune=True, memoize=True)
         )
         if json.dumps(plan_to_dict(fast_plan), sort_keys=True) != (
             json.dumps(plan_to_dict(base_plan), sort_keys=True)

@@ -3,7 +3,9 @@
 Commands:
 
 * ``plan`` — optimize a named workload and print the fusion plan, the
-  simulated profile, and optionally the generated source.
+  simulated profile, and optionally the generated source; ``--cores``
+  forces the block-to-core placement width on presets with an
+  inter-core link.
 * ``hardware`` — print one preset's full machine model (levels, vector
   and matrix units, unified buffer, inter-core link), or every preset.
 * ``compare`` — run a workload across systems (one Figure 5/6/7 row).
@@ -60,23 +62,6 @@ from .service import CompileRequest, CompileService, open_cache
 from .workloads import conv_chain_config, gemm_chain_config
 
 
-def _apply_cores(args: argparse.Namespace) -> None:
-    """Force the block-to-core partition count for this process.
-
-    Thin wrapper over the ``REPRO_CORES`` environment knob
-    (:mod:`repro.core.multicore`): inert on presets without an
-    inter-core link, so single-core plans are untouched.
-    """
-    import os
-
-    from .core.multicore import ENV_CORES
-
-    if getattr(args, "cores", None) is not None:
-        if args.cores < 1:
-            raise SystemExit(f"--cores must be >= 1, got {args.cores}")
-        os.environ[ENV_CORES] = str(args.cores)
-
-
 def _build_workload(
     name: str, softmax: bool, relu: bool, batch: Optional[int]
 ) -> OperatorChain:
@@ -90,12 +75,13 @@ def _build_workload(
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    _apply_cores(args)
+    if args.cores is not None and args.cores < 1:
+        raise SystemExit(f"--cores must be >= 1, got {args.cores}")
     hw = preset(args.hw)
     chain = _build_workload(args.workload, args.softmax, args.relu, args.batch)
     print(chain.describe())
     print()
-    result = compile_chain(chain, hw)
+    result = compile_chain(chain, hw, cores=args.cores)
     kernel = result.kernels[0]
     print(f"fusion decision: {'fuse' if result.fused else 'split'} "
           f"(predicted speedup {result.decision.predicted_speedup:.2f}x)")
@@ -124,7 +110,6 @@ def _cmd_hardware(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    _apply_cores(args)
     hw = preset(args.hw)
     chain = _build_workload(args.workload, args.softmax, args.relu, args.batch)
     keys = tuple(args.systems.split(",")) if args.systems else ()
@@ -215,7 +200,6 @@ def _cmd_compile_network(args: argparse.Namespace) -> int:
     service = CompileService(
         cache_dir=args.cache_dir, memory_capacity=args.memory_capacity
     )
-    schedule = None if args.schedule is None else args.schedule == "on"
     plan = compile_network(
         dag,
         hw,
@@ -223,7 +207,7 @@ def _cmd_compile_network(args: argparse.Namespace) -> int:
         max_workers=args.workers,
         timeout=args.timeout,
         timing="simulated" if args.simulate else "predicted",
-        schedule=schedule,
+        schedule=args.schedule == "on",
         memory_budget=args.memory_budget,
     )
     if args.out:
@@ -383,11 +367,7 @@ def _cmd_search_stats(args: argparse.Namespace) -> int:
     )
 
     hw = preset(args.hw)
-    policy = SearchPolicy(
-        prune=not args.no_prune,
-        memoize=not args.no_memo,
-        workers=max(1, args.workers),
-    )
+    policy = SearchPolicy(prune=not args.no_prune, memoize=not args.no_memo)
     reset_search_stats()
     solve_memo().clear()
     for name in args.workloads:
@@ -463,8 +443,7 @@ def main(argv: Optional[list] = None) -> int:
     plan.add_argument("--batch", type=int, default=None)
     plan.add_argument("--cores", type=int, default=None,
                       help="force the block-to-core partition count "
-                           "(sets REPRO_CORES; inert without an "
-                           "inter-core link)")
+                           "(inert without an inter-core link)")
     plan.add_argument("--source", action="store_true",
                       help="print the generated kernel source")
     plan.set_defaults(fn=_cmd_plan)
@@ -484,9 +463,6 @@ def main(argv: Optional[list] = None) -> int:
     cmp_parser.add_argument("--softmax", action="store_true")
     cmp_parser.add_argument("--relu", action="store_true")
     cmp_parser.add_argument("--batch", type=int, default=None)
-    cmp_parser.add_argument("--cores", type=int, default=None,
-                            help="force the block-to-core partition count "
-                                 "(sets REPRO_CORES)")
     cmp_parser.add_argument(
         "--systems", default="",
         help="comma-separated registry keys (default: all for the backend)",
@@ -544,9 +520,9 @@ def main(argv: Optional[list] = None) -> int:
                          help="time nodes on the memory-hierarchy "
                               "simulator (slow) instead of the "
                               "analytical model")
-    network.add_argument("--schedule", choices=["on", "off"], default=None,
+    network.add_argument("--schedule", choices=["on", "off"], default="on",
                          help="graph-level execution scheduling "
-                              "(default: the REPRO_SCHED environment, on)")
+                              "(default: on)")
     network.add_argument("--memory-budget", type=int, default=None,
                          help="residency budget in bytes for the "
                               "scheduler (default: the preset's "
@@ -619,8 +595,6 @@ def main(argv: Optional[list] = None) -> int:
                         help="disable the DV lower-bound pruning")
     search.add_argument("--no-memo", action="store_true",
                         help="disable solve memoization")
-    search.add_argument("--workers", type=int, default=1,
-                        help="process-pool width for surviving orders")
     search.set_defaults(fn=_cmd_search_stats)
 
     args = parser.parse_args(argv)

@@ -5,7 +5,7 @@
 * :mod:`repro.core.tables` — compiled (vectorized) movement tables.
 * :mod:`repro.core.reordering` — block order enumeration and dedup.
 * :mod:`repro.core.solver` — constrained tile-size optimization.
-* :mod:`repro.core.search` — pruned/memoized/parallel order search.
+* :mod:`repro.core.search` — pruned, memoized order search.
 * :mod:`repro.core.multilevel` — Eq. 2/3 multi-level hierarchy costs.
 * :mod:`repro.core.optimizer` — the end-to-end inter-block pass.
 * :mod:`repro.core.multicore` — block-to-core partitioning (scale-out).
@@ -19,7 +19,6 @@ from .movement import MovementModel, algorithm1, executed_flops
 from .multicore import (
     best_partitioned_plan,
     comm_volume_bytes,
-    forced_partitions,
     partition_factors,
     partition_loops,
     shard_chain,
@@ -83,7 +82,6 @@ __all__ = [
     "LevelSchedule",
     "best_partitioned_plan",
     "comm_volume_bytes",
-    "forced_partitions",
     "partition_factors",
     "partition_loops",
     "shard_chain",

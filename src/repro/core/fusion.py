@@ -89,6 +89,7 @@ def decide_fusion(
     config: Optional[ChimeraConfig] = None,
     policy: Optional[SearchPolicy] = None,
     hints: Optional[ChainHints] = None,
+    cores: Optional[int] = None,
 ) -> FusionDecision:
     """Plan fused and unfused executions and pick the faster one.
 
@@ -102,6 +103,9 @@ def decide_fusion(
     the link.  A placement replaces the aggregate fused plan only when
     strictly faster, so linkless hardware — and link-bearing hardware
     where no placement wins — keeps today's plans byte-identically.
+    ``cores`` forces one placement width (see
+    :func:`~repro.core.multicore.partition_factors`); it is inert without
+    a link.
     """
     optimizer = ChimeraOptimizer(hardware, config, policy=policy)
     fused = optimizer.optimize(
@@ -114,6 +118,7 @@ def decide_fusion(
             config,
             policy=policy,
             incumbent_time=fused.predicted_time,
+            cores=cores,
         )
         if partitioned is not None:
             fused = partitioned

@@ -611,18 +611,6 @@ class MovementModel:
             ).hexdigest()
         return self._signature_digest
 
-    def __getstate__(self) -> Dict:
-        """Drop per-instance derived caches when pickling.
-
-        Process-pool workers rebuild (or memo-hit) their own compiled
-        tables and usage plans; the arrays would only bloat the payload
-        crossing the pool boundary.
-        """
-        state = dict(self.__dict__)
-        state.pop("_tables", None)
-        state["_usage_plan_cache"] = None
-        return state
-
     def __repr__(self) -> str:
         return f"MovementModel({self.chain.name}, order={'/'.join(self.perm)})"
 

@@ -24,7 +24,7 @@ the model is fully analytical:
   exact communication time) before paying a full per-placement solve;
   shared-level capacity tightens to ``capacity / p`` for the survivors.
 
-Set ``REPRO_CORES=<p>`` to force one partition count (inert on hardware
+Pass ``cores=<p>`` to force one partition count (inert on hardware
 without a link, so single-core planning stays byte-identical).
 """
 
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..hardware.spec import HardwareSpec
@@ -42,39 +41,26 @@ from .optimizer import ChimeraConfig, ChimeraOptimizer
 from .plan import CorePartition, FusionPlan
 from .search import SearchPolicy
 
-#: Environment knob forcing a single partition count (requires a link).
-ENV_CORES = "REPRO_CORES"
-
-
-def forced_partitions() -> Optional[int]:
-    """The ``REPRO_CORES`` override, or ``None`` when unset."""
-    raw = os.environ.get(ENV_CORES, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_CORES} must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(f"{ENV_CORES} must be >= 1, got {value}")
-    return value
-
-
-def partition_factors(hardware: HardwareSpec) -> Tuple[int, ...]:
+def partition_factors(
+    hardware: HardwareSpec, cores: Optional[int] = None
+) -> Tuple[int, ...]:
     """Candidate core counts for ``hardware``: powers of two up to the chip.
 
-    Hardware without a link has no partitioning axis — the answer is
-    always ``(1,)`` there, ``REPRO_CORES`` included, which is what keeps
-    single-core planning byte-identical under a forced environment.
+    ``cores`` forces a single count, clamped to the chip.  Hardware
+    without a link has no partitioning axis — the answer is always
+    ``(1,)`` there, ``cores`` included, which is what keeps single-core
+    planning byte-identical under a forced width.
+
+    Raises:
+        ValueError: when ``cores`` is below 1.
     """
+    if cores is not None and cores < 1:
+        raise ValueError(f"cores must be >= 1, got {cores}")
     if hardware.link is None:
         return (1,)
     n = hardware.num_cores
-    forced = forced_partitions()
-    if forced is not None:
-        return (min(forced, n),)
+    if cores is not None:
+        return (min(cores, n),)
     factors: List[int] = []
     p = 1
     while p <= n:
@@ -329,6 +315,7 @@ def best_partitioned_plan(
     config: Optional[ChimeraConfig] = None,
     policy: Optional[SearchPolicy] = None,
     incumbent_time: float = math.inf,
+    cores: Optional[int] = None,
 ) -> Optional[FusionPlan]:
     """Best block-to-core placement of the fused chain, or ``None``.
 
@@ -342,11 +329,12 @@ def best_partitioned_plan(
     Args:
         incumbent_time: predicted time of the aggregate (unpartitioned)
             fused plan; placements must beat it strictly.
+        cores: force one partition count (see :func:`partition_factors`).
     """
     link = hardware.link
     if link is None:
         return None
-    factors = [p for p in partition_factors(hardware) if p > 1]
+    factors = [p for p in partition_factors(hardware, cores) if p > 1]
     if not factors:
         return None
     loops = partition_loops(chain)

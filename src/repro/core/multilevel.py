@@ -74,7 +74,7 @@ def solve_hierarchy(
     """
     schedules_outer_first: List[LevelSchedule] = []
     parent_tiles: Optional[Dict[str, int]] = None
-    policy = policy or SearchPolicy.from_env()
+    policy = policy or SearchPolicy()
     digest = chain_digest(model.chain) if policy.memoize else None
     on_chip = hardware.on_chip_levels
     for offset, level in enumerate(reversed(on_chip)):

@@ -16,7 +16,6 @@ Intra-block optimization (micro kernel selection) attaches afterwards via
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
 import time
@@ -71,12 +70,12 @@ class ChimeraConfig:
 
 @dataclasses.dataclass(frozen=True)
 class UnifiedBufferConstraint:
-    """Unified Buffer footprint constraint as a picklable callable.
+    """Unified Buffer footprint constraint as a hashable callable.
 
     On the Ascend NPU, intermediate tiles between fused operators stage
     through the Unified Buffer, so their combined footprint must fit it.
-    A frozen dataclass (rather than a closure) so constrained solves can
-    cross a process-pool boundary and carry a stable memo-key token.
+    A frozen dataclass (rather than a closure) so constrained solves
+    carry a stable memo-key token.
     """
 
     chain: OperatorChain
@@ -171,8 +170,8 @@ class ChimeraOptimizer:
         self.config = config or ChimeraConfig()
         # The search policy changes how fast optimize() runs, never its
         # answer, so it lives outside ChimeraConfig (and outside plan-cache
-        # keys).  None defers to the REPRO_SEARCH_* environment.
-        self.policy = policy or SearchPolicy.from_env()
+        # keys).
+        self.policy = policy or SearchPolicy()
         self.last_stats: Optional[OptimizeStats] = None
 
     # ------------------------------------------------------------------
@@ -225,123 +224,103 @@ class ChimeraOptimizer:
         schedules_outer_first: List[LevelSchedule] = []
         chosen_models: List[MovementModel] = []
         parent_tiles: Optional[Dict[str, int]] = None
-        # One pool serves every level's search: pool startup dominates the
-        # per-level fan-out cost, so the lifecycle spans the whole run.
-        executor: Optional[concurrent.futures.Executor] = None
-        if self.policy.workers > 1:
-            executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.policy.workers
+        for offset, level in enumerate(reversed(on_chip)):
+            level_index = len(on_chip) - 1 - offset
+            capacity = (
+                float(self.hardware.per_block_capacity(level, partitions))
+                * self.config.capacity_utilization
             )
-        try:
-            for offset, level in enumerate(reversed(on_chip)):
-                level_index = len(on_chip) - 1 - offset
-                capacity = (
-                    float(self.hardware.per_block_capacity(level, partitions))
-                    * self.config.capacity_utilization
+            level_min_tiles = dict(min_tiles)
+            level_hard_min: Dict[str, int] = {}
+            if level_index > 0:
+                # A producer's private reduction iterates only at the
+                # innermost level: splitting it at an outer level makes
+                # the partially accumulated intermediate stream through
+                # every inner boundary once per outer trip (CUTLASS B2B
+                # / BOLT keep the first GEMM's K whole inside the block
+                # for the same reason).  Shared reductions (the second
+                # operator's) may split anywhere — their RMW traffic is
+                # charged by the model's multipliers.  These pins are
+                # HARD minimums: the solver may relax micro-kernel
+                # alignment under capacity pressure but never these.
+                for loop_name in producer_private_reductions(chain):
+                    level_hard_min[loop_name] = extents[loop_name]
+            # Hierarchy consistency: a loop an outer level split
+            # iterates *above* every loop of this level, so this
+            # level's order must place all outer-split loops in its
+            # outermost positions — otherwise this level's Algorithm 1
+            # would assume reuse across iterations that actually happen
+            # at a coarser granularity.
+            if parent_tiles is None:
+                prefix: frozenset = frozenset()
+            else:
+                prefix = frozenset(
+                    name
+                    for name, tile in parent_tiles.items()
+                    if tile < extents[name]
                 )
-                level_min_tiles = dict(min_tiles)
-                level_hard_min: Dict[str, int] = {}
-                if level_index > 0:
-                    # A producer's private reduction iterates only at the
-                    # innermost level: splitting it at an outer level makes
-                    # the partially accumulated intermediate stream through
-                    # every inner boundary once per outer trip (CUTLASS B2B
-                    # / BOLT keep the first GEMM's K whole inside the block
-                    # for the same reason).  Shared reductions (the second
-                    # operator's) may split anywhere — their RMW traffic is
-                    # charged by the model's multipliers.  These pins are
-                    # HARD minimums: the solver may relax micro-kernel
-                    # alignment under capacity pressure but never these.
-                    for loop_name in producer_private_reductions(chain):
-                        level_hard_min[loop_name] = extents[loop_name]
-                # Hierarchy consistency: a loop an outer level split
-                # iterates *above* every loop of this level, so this
-                # level's order must place all outer-split loops in its
-                # outermost positions — otherwise this level's Algorithm 1
-                # would assume reuse across iterations that actually happen
-                # at a coarser granularity.
-                if parent_tiles is None:
-                    prefix: frozenset = frozenset()
-                else:
-                    prefix = frozenset(
-                        name
-                        for name, tile in parent_tiles.items()
-                        if tile < extents[name]
-                    )
-                # Intermediates are traffic-free only at the outermost
-                # on-chip boundary (that is the fusion benefit: they never
-                # reach DRAM).  At inner boundaries the inter-operator data
-                # streams between levels like any other tensor — the paper
-                # observes exactly this as the fused kernel's L1<->L2
-                # traffic increase — so the inner-level models charge
-                # intermediates as IO.
-                outermost = level_index == len(on_chip) - 1
-                space = candidate_models(
-                    chain,
-                    max_orders=self.config.max_orders,
-                    prefix=prefix,
-                    reuse_intermediates=outermost,
+            # Intermediates are traffic-free only at the outermost
+            # on-chip boundary (that is the fusion benefit: they never
+            # reach DRAM).  At inner boundaries the inter-operator data
+            # streams between levels like any other tensor — the paper
+            # observes exactly this as the fused kernel's L1<->L2
+            # traffic increase — so the inner-level models charge
+            # intermediates as IO.
+            outermost = level_index == len(on_chip) - 1
+            space = candidate_models(
+                chain,
+                max_orders=self.config.max_orders,
+                prefix=prefix,
+                reuse_intermediates=outermost,
+            )
+            scanned += space.enumerated
+            search_stats.orders_enumerated += space.enumerated
+            unique = max(unique, len(space.models))
+            total_orders = max(total_orders, space.total)
+            # Hardware LRU levels cannot pin enlarged intermediate
+            # buffers (they thrash); only software-managed scratchpads
+            # may hold them (persistent-kernel style).
+            candidates = [
+                model
+                for model in space.models
+                if level.software_managed or not model.has_enlarged_buffers
+            ] or list(space.models)
+            ranked = self._probe_rank(
+                candidates, level_min_tiles, capacity, parent_tiles
+            )
+            top = ranked[: max(1, self.config.top_candidates)]
+            level_hint = hint.level(level.name) if hint is not None else None
+            model, solution = search_tiles(
+                top,
+                capacity,
+                min_tiles=level_min_tiles,
+                quanta=self.config.quanta,
+                constraints=constraints,
+                constraints_token=constraints_token,
+                max_parent=parent_tiles,
+                hard_min_tiles=level_hard_min,
+                policy=self.policy,
+                stats=search_stats,
+                digest=digest,
+                x0_hint=None if level_hint is None else dict(level_hint.tiles),
+                incumbent_hint=(
+                    None if level_hint is None else level_hint.order
+                ),
+            )
+            bandwidth = self.hardware.levels[level_index + 1].bandwidth
+            schedules_outer_first.append(
+                LevelSchedule(
+                    level=level.name,
+                    order=model.perm,
+                    tiles=solution.tiles,
+                    predicted_dv=solution.dv,
+                    predicted_mu=solution.mu,
+                    capacity=capacity,
+                    bandwidth=bandwidth,
                 )
-                scanned += space.enumerated
-                search_stats.orders_enumerated += space.enumerated
-                unique = max(unique, len(space.models))
-                total_orders = max(total_orders, space.total)
-                # Hardware LRU levels cannot pin enlarged intermediate
-                # buffers (they thrash); only software-managed scratchpads
-                # may hold them (persistent-kernel style).
-                candidates = [
-                    model
-                    for model in space.models
-                    if level.software_managed or not model.has_enlarged_buffers
-                ] or list(space.models)
-                ranked = self._probe_rank(
-                    candidates, level_min_tiles, capacity, parent_tiles
-                )
-                top = ranked[: max(1, self.config.top_candidates)]
-                level_hint = (
-                    hint.level(level.name) if hint is not None else None
-                )
-                model, solution = search_tiles(
-                    top,
-                    capacity,
-                    min_tiles=level_min_tiles,
-                    quanta=self.config.quanta,
-                    constraints=constraints,
-                    constraints_token=constraints_token,
-                    max_parent=parent_tiles,
-                    hard_min_tiles=level_hard_min,
-                    policy=self.policy,
-                    stats=search_stats,
-                    digest=digest,
-                    executor=executor,
-                    x0_hint=(
-                        None
-                        if level_hint is None
-                        else dict(level_hint.tiles)
-                    ),
-                    incumbent_hint=(
-                        None if level_hint is None else level_hint.order
-                    ),
-                )
-                bandwidth = self.hardware.levels[level_index + 1].bandwidth
-                schedules_outer_first.append(
-                    LevelSchedule(
-                        level=level.name,
-                        order=model.perm,
-                        tiles=solution.tiles,
-                        predicted_dv=solution.dv,
-                        predicted_mu=solution.mu,
-                        capacity=capacity,
-                        bandwidth=bandwidth,
-                    )
-                )
-                chosen_models.append(model)
-                parent_tiles = {
-                    name: solution.tiles[name] for name in model.perm
-                }
-        finally:
-            if executor is not None:
-                executor.shutdown()
+            )
+            chosen_models.append(model)
+            parent_tiles = {name: solution.tiles[name] for name in model.perm}
 
         schedules = tuple(reversed(schedules_outer_first))
         elapsed = time.perf_counter() - started

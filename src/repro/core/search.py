@@ -1,4 +1,4 @@
-"""Pruned, memoized, optionally parallel inter-block order search.
+"""Pruned, memoized inter-block order search.
 
 The inter-block optimizer enumerates candidate block execution orders and
 runs the constrained tile-size solve (:func:`repro.core.solver.solve_tiles`)
@@ -18,29 +18,22 @@ search fast **without changing its answer**:
   :meth:`~repro.core.movement.MovementModel.signature` (plus every other
   solve input), so symmetric orders with identical movement terms — and
   repeated compiles of the same chain — are solved once per process.
-* **Parallelism** — surviving candidates can be fanned across a process
-  pool (``REPRO_SEARCH_WORKERS``).  Results are reduced under the total
-  order ``(infeasible, dv, order-tuple)``, so the winner is identical
-  regardless of worker count or completion order.
 * **Observability** — :class:`SearchStats` counts orders enumerated,
   pruned, memo hits and solves, with per-stage wall time; a process-global
   aggregate backs ``service.stats()`` and the ``repro search-stats`` CLI.
 
 Determinism guarantee: for a fixed candidate list, the (model, solution)
 pair returned by :func:`search_tiles` is identical for every combination
-of ``prune``/``memoize``/``workers`` — pruning is admissible (a pruned
-candidate provably cannot win the total order), memoized entries are keyed
-on every input that influences the solve, and the parallel reduce is a
-total-order minimum.
+of ``prune``/``memoize`` — pruning is admissible (a pruned candidate
+provably cannot win the total order ``(infeasible, dv, order-tuple)``),
+and memoized entries are keyed on every input that influences the solve.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import math
-import os
 import pickle
 import threading
 import time
@@ -64,60 +57,28 @@ from .movement import MovementModel
 from .solver import ConstraintFn, TileSolution, solve_tiles
 from .tables import TablesEvaluator, movement_tables, tables_memo_stats
 
-#: Environment knobs honoured by :meth:`SearchPolicy.from_env`.
-ENV_WORKERS = "REPRO_SEARCH_WORKERS"
-ENV_PRUNE = "REPRO_SEARCH_PRUNE"
-ENV_MEMO = "REPRO_SEARCH_MEMO"
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off", "")
-
-
 @dataclasses.dataclass(frozen=True)
 class SearchPolicy:
     """Execution strategy of the order search.
 
     The policy changes how fast the search runs, never what it returns —
-    it is deliberately *not* part of the compilation cache key.
+    it is deliberately *not* part of the compilation cache key.  Both
+    switches are on by default; turning them off gives the exhaustive
+    oracle the fast search is checked against.
 
     Attributes:
         prune: skip solves whose DV lower bound cannot beat the incumbent.
         memoize: reuse solve results through the process-global
             :class:`SolveMemo`.
-        workers: process-pool width for surviving candidates; ``1`` solves
-            serially (and lets the incumbent tighten after every solve,
-            which prunes the most).
     """
 
     prune: bool = True
     memoize: bool = True
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-
-    @staticmethod
-    def from_env() -> "SearchPolicy":
-        """Policy from ``REPRO_SEARCH_{WORKERS,PRUNE,MEMO}`` (defaults on/1)."""
-        try:
-            workers = int(os.environ.get(ENV_WORKERS, "1"))
-        except ValueError:
-            workers = 1
-        return SearchPolicy(
-            prune=_env_flag(ENV_PRUNE, True),
-            memoize=_env_flag(ENV_MEMO, True),
-            workers=max(1, workers),
-        )
 
     @staticmethod
     def exhaustive() -> "SearchPolicy":
-        """The serial solve-everything baseline the search must reproduce."""
-        return SearchPolicy(prune=False, memoize=False, workers=1)
+        """The solve-everything baseline the search must reproduce."""
+        return SearchPolicy(prune=False, memoize=False)
 
 
 @dataclasses.dataclass
@@ -429,26 +390,6 @@ def _best_result(
     return min(tied, key=lambda pair: pair[0].perm)
 
 
-def _solve_payload(payload: Tuple) -> TileSolution:
-    """Top-level worker entry (must be picklable for the process pool).
-
-    The warm-start hint travels in the payload (a plain dict of floats,
-    picklable).
-    """
-    (model, capacity, min_tiles, quanta, constraints, max_parent,
-     hard_min_tiles, x0_hint) = payload
-    return solve_tiles(
-        model,
-        capacity,
-        min_tiles=min_tiles,
-        quanta=quanta,
-        constraints=constraints,
-        max_parent=max_parent,
-        hard_min_tiles=hard_min_tiles,
-        x0_hint=x0_hint,
-    )
-
-
 class _Solver:
     """Shared solve-once helper: memo lookup, solve, memo fill, counters."""
 
@@ -473,7 +414,6 @@ class _Solver:
         # shape the warm-start tests pin — so the hint is meant to change
         # how fast a solve runs, not what it returns.
         self.x0_hint = dict(x0_hint) if x0_hint else None
-        self.policy = policy
         self.stats = stats
         self.memo = memo
         self.constraints_token = constraints_token
@@ -499,42 +439,22 @@ class _Solver:
             constraints_token=self.constraints_token,
         )
 
-    def cached(self, model: MovementModel) -> Optional[TileSolution]:
-        key = self.key_for(model)
-        if key is None:
-            return None
-        solution = self.memo.get(key)
-        if solution is not None:
-            self.stats.memo_hits += 1
-        return solution
-
-    def payload(self, model: MovementModel) -> Tuple:
-        return (
-            model,
-            self.capacity,
-            self.kwargs.get("min_tiles"),
-            self.kwargs.get("quanta"),
-            tuple(self.kwargs.get("constraints") or ()),
-            self.kwargs.get("max_parent"),
-            self.kwargs.get("hard_min_tiles"),
-            self.x0_hint,
-        )
-
     def solve(self, model: MovementModel) -> TileSolution:
-        cached = self.cached(model)
-        if cached is not None:
-            return cached
-        started = time.perf_counter()
-        solution = _solve_payload(self.payload(model))
-        self.stats.solves += 1
-        self.stats.solve_seconds += time.perf_counter() - started
-        self.store(model, solution)
-        return solution
-
-    def store(self, model: MovementModel, solution: TileSolution) -> None:
         key = self.key_for(model)
         if key is not None:
+            cached = self.memo.get(key)
+            if cached is not None:
+                self.stats.memo_hits += 1
+                return cached
+        started = time.perf_counter()
+        solution = solve_tiles(
+            model, self.capacity, x0_hint=self.x0_hint, **self.kwargs
+        )
+        self.stats.solves += 1
+        self.stats.solve_seconds += time.perf_counter() - started
+        if key is not None:
             self.memo.put(key, solution)
+        return solution
 
 
 #: Relative margin under which two DV values are considered tied.  The
@@ -621,15 +541,14 @@ def search_tiles(
     policy: Optional[SearchPolicy] = None,
     stats: Optional[SearchStats] = None,
     digest: Optional[str] = None,
-    executor: Optional[concurrent.futures.Executor] = None,
     x0_hint: Optional[Mapping[str, float]] = None,
     incumbent_hint: Optional[Sequence[str]] = None,
 ) -> Tuple[MovementModel, TileSolution]:
     """Pick the best (model, tile solution) among candidate orders.
 
     Equivalent to solving every candidate and taking the minimum under
-    ``(infeasible, dv, order)`` — but pruned, memoized and parallelized
-    according to ``policy``.
+    ``(infeasible, dv, order)`` — but pruned and memoized according to
+    ``policy`` (default :class:`SearchPolicy`).
 
     Args:
         models: candidate movement models (one per DV signature).
@@ -638,8 +557,6 @@ def search_tiles(
             memo key; with constraints present but no token, memoization is
             disabled (safe default).
         digest: :func:`chain_digest` of the chain (computed if omitted).
-        executor: optional externally managed pool reused across calls;
-            otherwise one is created per call when ``policy.workers > 1``.
         stats: accumulator to fill (also folded into the process-global
             aggregate).
         x0_hint: warm-start tiles forwarded to every candidate's
@@ -662,7 +579,7 @@ def search_tiles(
     """
     if not models:
         raise ValueError("search_tiles needs at least one candidate model")
-    policy = policy or SearchPolicy.from_env()
+    policy = policy or SearchPolicy()
     local = SearchStats(searches=1, candidates=len(models))
     if digest is None and policy.memoize:
         digest = chain_digest(models[0].chain)
@@ -714,54 +631,15 @@ def search_tiles(
         ):
             incumbent = (model, solution)
 
-    if policy.workers <= 1 or len(bounded) <= 1:
-        for bound, model in bounded:
-            if (
-                policy.prune
-                and incumbent is not None
-                and _prunable(bound, model.perm, incumbent)
-            ):
-                local.pruned += 1
-                continue
-            push(model, solver.solve(model))
-    else:
-        # Parallel: solve the best-bounded candidate serially to seed the
-        # incumbent, prune the rest against it once, then fan the
-        # survivors out.  The pruning decision depends only on the leader's
-        # result and the reduce is a total-order minimum, so the outcome is
-        # independent of worker count and completion order.
-        leader_bound, leader = bounded[0]
-        push(leader, solver.solve(leader))
-        survivors: List[MovementModel] = []
-        for bound, model in bounded[1:]:
-            if policy.prune and _prunable(bound, model.perm, incumbent):
-                local.pruned += 1
-                continue
-            cached = solver.cached(model)
-            if cached is not None:
-                push(model, cached)
-            else:
-                survivors.append(model)
-        if survivors:
-            own_pool = executor is None
-            pool = executor or concurrent.futures.ProcessPoolExecutor(
-                max_workers=policy.workers
-            )
-            try:
-                started = time.perf_counter()
-                futures = [
-                    pool.submit(_solve_payload, solver.payload(model))
-                    for model in survivors
-                ]
-                for model, future in zip(survivors, futures):
-                    solution = future.result()
-                    local.solves += 1
-                    solver.store(model, solution)
-                    push(model, solution)
-                local.solve_seconds += time.perf_counter() - started
-            finally:
-                if own_pool:
-                    pool.shutdown()
+    for bound, model in bounded:
+        if (
+            policy.prune
+            and incumbent is not None
+            and _prunable(bound, model.perm, incumbent)
+        ):
+            local.pruned += 1
+            continue
+        push(model, solver.solve(model))
 
     if stats is not None:
         stats.merge(local)
@@ -793,7 +671,7 @@ def memoized_solve_tiles(
     refined integer point across the DV-flat ridge, so a warm start is
     meant to change solve latency, not the solution.
     """
-    policy = policy or SearchPolicy.from_env()
+    policy = policy or SearchPolicy()
     local = SearchStats()
     solution: Optional[TileSolution] = None
     key: Optional[Hashable] = None

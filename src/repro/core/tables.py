@@ -595,7 +595,7 @@ def movement_tables(model: MovementModel) -> MovementTables:
     tables = _GLOBAL_TABLES_MEMO.get_or_compile(
         key, lambda: MovementTables(model)
     )
-    model._tables = tables  # dropped on pickling (MovementModel.__getstate__)
+    model._tables = tables
     return tables
 
 

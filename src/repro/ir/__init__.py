@@ -38,7 +38,6 @@ from .graph import (
     StitchedOp,
     is_fusable,
     partition_graph,
-    stitching_enabled,
 )
 from .loops import Loop, LoopKind
 from .operator import OperatorKind, OperatorSpec
@@ -78,7 +77,6 @@ __all__ = [
     "partition_graph",
     "rename_chain_tensors",
     "stitch_nodes",
-    "stitching_enabled",
     "Loop",
     "LoopKind",
     "OperatorKind",

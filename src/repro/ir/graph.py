@@ -14,7 +14,6 @@ partition validated to cover every node exactly once in topological order.
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .chain import OperatorChain, single_op_chain
@@ -145,16 +144,6 @@ def is_fusable(chain: OperatorChain) -> bool:
 STITCHABLE_TAGS = frozenset(
     {"relu", "gelu", "bias_add", "softmax", "layer_norm"}
 )
-
-
-def stitching_enabled() -> bool:
-    """Whether :func:`partition_graph` stitches MI glue (``REPRO_STITCH``).
-
-    On by default; export ``REPRO_STITCH=0`` to fall back to the PR 3
-    behavior (MI nodes in the unfused remainder).  A pure planning knob:
-    both settings produce correct executions.
-    """
-    return os.environ.get("REPRO_STITCH", "1") != "0"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -455,15 +444,15 @@ def partition_graph(
     dag: ComputeDAG,
     predicate: Optional[Callable[[OperatorChain], bool]] = None,
     *,
-    stitch: Optional[bool] = None,
+    stitch: bool = True,
 ) -> GraphPartition:
     """Split a DAG into fusable chain nodes and the remainder.
 
-    With stitching on (the default; see :func:`stitching_enabled`),
-    memory-intensive glue nodes adjacent to compute-intensive work are
-    merged into the neighboring chain node — prologue, sandwich, or
-    epilogue — so their bridge tensors become on-chip chain
-    intermediates instead of DRAM round-trips.  Any run that cannot be
+    With stitching on (the default), memory-intensive glue nodes
+    adjacent to compute-intensive work are merged into the neighboring
+    chain node — prologue, sandwich, or epilogue — so their bridge
+    tensors become on-chip chain intermediates instead of DRAM
+    round-trips.  Any run that cannot be
     merged structurally falls back to individual classification, so the
     partition always succeeds.
 
@@ -472,15 +461,15 @@ def partition_graph(
         predicate: chain classifier (default :func:`is_fusable`).
             Passing an explicit predicate disables stitching: the caller
             has taken over classification entirely.
-        stitch: force stitching on/off regardless of ``REPRO_STITCH``.
+        stitch: stitch MI glue into adjacent chains (default on).
+            ``False`` leaves MI nodes in the unfused remainder; both
+            settings produce correct executions.
 
     Returns:
         a :class:`GraphPartition` that has been validated against ``dag``.
     """
     classify = is_fusable if predicate is None else predicate
-    do_stitch = stitching_enabled() if stitch is None else bool(stitch)
-    if predicate is not None:
-        do_stitch = False
+    do_stitch = stitch and predicate is None
     runs = _stitch_runs(dag) if do_stitch else [[node] for node in dag.nodes]
     # A run may skip over unrelated nodes (its members need only be in
     # producer->consumer order), so emit every partition node at its first

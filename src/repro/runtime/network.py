@@ -40,7 +40,7 @@ from ..ir.graph import ComputeDAG, GraphNode, StitchedOp, partition_graph
 from ..workloads.networks import NetworkTiming
 from . import pipeline
 from .pipeline import CompileResult
-from .scheduler import GraphSchedule, schedule_partition, scheduling_enabled
+from .scheduler import GraphSchedule, schedule_partition
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle exists only for typing
     from ..service import CompileService
@@ -131,8 +131,8 @@ class NetworkPlan:
     """End-to-end compiled plan for one network on one machine model.
 
     The plan is serializable (:func:`repro.runtime.network_plan_to_dict`)
-    and deterministic: recompiling the same network — cold cache, warm
-    cache, or parallel search — yields a byte-identical encoding.
+    and deterministic: recompiling the same network — serially, from a
+    cold cache or from a warm one — yields a byte-identical encoding.
     """
 
     network: str
@@ -309,8 +309,8 @@ def compile_network(
     max_workers: Optional[int] = None,
     timeout: Optional[float] = None,
     timing: str = TIMING_PREDICTED,
-    stitch: Optional[bool] = None,
-    schedule: Optional[bool] = None,
+    stitch: bool = True,
+    schedule: bool = True,
     memory_budget: Optional[int] = None,
 ) -> NetworkPlan:
     """Compile every node of a network DAG into a :class:`NetworkPlan`.
@@ -324,22 +324,20 @@ def compile_network(
             in parallel.  Without it, nodes compile serially in-process.
         config: optimizer overrides applied to every node.
         policy: order-search execution strategy (serial path only; the
-            service owns its own policy environment).
+            service compiles with the default policy).
         max_workers: batch pool size (service path only).
         timeout: per-node compile budget in seconds (service path only).
         timing: ``"predicted"`` (analytical kernel times, default) or
             ``"simulated"`` (memory-hierarchy simulation per node —
             seconds per node).
-        stitch: force memory-intensive stitching on/off for the partition
-            (default: the ``REPRO_STITCH`` environment, on).  Stitched
-            plan nodes cover several graph nodes; see
+        stitch: memory-intensive stitching for the partition (default
+            on).  Stitched plan nodes cover several graph nodes; see
             :attr:`NodePlan.members`.
-        schedule: force graph-level execution scheduling on/off (default:
-            the ``REPRO_SCHED`` environment, on).  When on, the plan's
-            nodes are ordered by the peak-memory-minimizing schedule and
-            ``NetworkPlan.schedule`` carries the residency decisions;
-            when off, nodes keep the partition order and ``schedule`` is
-            ``None``.
+        schedule: graph-level execution scheduling (default on).  When
+            on, the plan's nodes are ordered by the peak-memory-minimizing
+            schedule and ``NetworkPlan.schedule`` carries the residency
+            decisions; when off, nodes keep the partition order and
+            ``schedule`` is ``None``.
         memory_budget: residency budget in bytes for the scheduler
             (default: the hardware's DRAM-side capacity; see
             :func:`repro.runtime.scheduler.default_memory_budget`).
@@ -395,11 +393,10 @@ def compile_network(
                 + "; ".join(failures)
             )
 
-    do_schedule = scheduling_enabled() if schedule is None else schedule
     graph_schedule: Optional[GraphSchedule] = None
     ordered_nodes = list(plan_nodes)
     overheads: Dict[str, float] = {}
-    if do_schedule:
+    if schedule:
         # Price rematerialization with the kernels' analytical times —
         # available before (and independent of) the simulated lowering,
         # which breaks the schedule-needs-times / times-follow-schedule

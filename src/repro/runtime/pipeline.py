@@ -87,6 +87,7 @@ def compile_chain(
     service: Optional["CompileService"] = None,
     policy: Optional[SearchPolicy] = None,
     hints: Optional[ChainHints] = None,
+    cores: Optional[int] = None,
 ) -> CompileResult:
     """Compile an operator chain for a hardware target.
 
@@ -99,23 +100,37 @@ def compile_chain(
         service: a :class:`repro.service.CompileService`; when given, the
             request is routed through its plan cache (and coalesced with
             identical concurrent requests) instead of always re-optimizing.
-        policy: order-search execution strategy (pruning / memoization /
-            workers).  Affects compile latency only, never the plan, so it
-            is not part of the service cache key; defaults to the
-            ``REPRO_SEARCH_*`` environment.
+        policy: order-search execution strategy (pruning / memoization).
+            Affects compile latency only, never the plan, so it is not part
+            of the service cache key; defaults to :class:`SearchPolicy`.
         hints: warm-start hints from a neighboring shape's cached plan
             (see :mod:`repro.core.warmstart`).  Like ``policy``, a pure
             speed knob — the returned plan is byte-identical with or
             without hints.  Ignored on the service path: the service
             derives its own hints from its shape index.
+        cores: force one block-to-core placement width on hardware with
+            an inter-core link (inert without one).  It changes the plan
+            but is not part of the service cache key, so it cannot be
+            combined with ``service``.
 
     Returns:
         executable kernels plus the planning decision.
+
+    Raises:
+        ValueError: when both ``service`` and ``cores`` are given, or
+            ``cores`` is below 1 on link-bearing hardware.
     """
     if service is not None:
+        if cores is not None:
+            raise ValueError(
+                "cores= changes the plan but not the cache key; "
+                "compile without service= to force a placement width"
+            )
         return service.compile(chain, hardware, config, force_fusion=force_fusion)
     cfg = chimera_config(chain, hardware, config)
-    decision = decide_fusion(chain, hardware, cfg, policy, hints=hints)
+    decision = decide_fusion(
+        chain, hardware, cfg, policy, hints=hints, cores=cores
+    )
     if force_fusion is not None:
         decision = dataclasses.replace(decision, use_fusion=force_fusion)
     return CompileResult(

@@ -31,10 +31,10 @@ FusionStitching):
    :func:`~repro.core.movement.spill_round_trip_bytes` over the DRAM
    bandwidth — the same pricing that charges tile movement).
 
-Everything is deterministic: same partition, hardware and
-``REPRO_SCHED_SEED`` produce a byte-identical :class:`GraphSchedule`
-(and therefore a byte-identical serialized ``NetworkPlan``).  Scheduling
-is disabled entirely with ``REPRO_SCHED=0``.
+Everything is deterministic: same partition, hardware and ``seed``
+produce a byte-identical :class:`GraphSchedule` (and therefore a
+byte-identical serialized ``NetworkPlan``).  Scheduling is disabled
+entirely with ``compile_network(..., schedule=False)``.
 
 The live-set model counts one network pass: a kept tensor occupies its
 ``output_bytes`` from its producer's step through its last consumer's
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import random
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -64,28 +63,6 @@ SPILL = "spill"
 REMATERIALIZE = "rematerialize"
 
 DECISIONS = (KEEP, SPILL, REMATERIALIZE)
-
-
-def scheduling_enabled() -> bool:
-    """Whether :func:`repro.runtime.compile_network` schedules (``REPRO_SCHED``).
-
-    On by default; export ``REPRO_SCHED=0`` to keep the naive topological
-    order and skip residency decisions entirely (``NetworkPlan.schedule``
-    is then ``None``).  A pure planning knob: both settings execute the
-    same kernels.
-    """
-    return os.environ.get("REPRO_SCHED", "1") != "0"
-
-
-def schedule_seed() -> int:
-    """The annealing seed (``REPRO_SCHED_SEED``, default 0)."""
-    try:
-        return int(os.environ.get("REPRO_SCHED_SEED", "0"))
-    except ValueError:
-        raise ValueError(
-            "REPRO_SCHED_SEED must be an integer, got "
-            f"{os.environ.get('REPRO_SCHED_SEED')!r}"
-        ) from None
 
 
 def default_memory_budget(hardware: HardwareSpec) -> int:
@@ -146,7 +123,7 @@ class GraphSchedule:
         naive_peak_bytes: the peak of the naive topological order with
             every intermediate kept — the baseline scheduling beats.
         memory_budget: the residency budget the schedule was solved for.
-        seed: annealing seed used (``REPRO_SCHED_SEED`` unless overridden).
+        seed: annealing seed used.
         residency: one record per graph-level intermediate.
         transients: sorted ``(node, nbytes)`` pairs of extra bytes resident
             only at that node's own step — communication staging of
@@ -464,7 +441,7 @@ def schedule_partition(
     *,
     node_times: Optional[Mapping[str, float]] = None,
     memory_budget: Optional[int] = None,
-    seed: Optional[int] = None,
+    seed: int = 0,
     anneal_iters: Optional[int] = None,
     dag_order: Optional[Sequence[str]] = None,
     node_transients: Optional[Mapping[str, int]] = None,
@@ -480,7 +457,7 @@ def schedule_partition(
             spill.
         memory_budget: residency budget in bytes (default:
             :func:`default_memory_budget`).
-        seed: annealing seed (default: ``REPRO_SCHED_SEED``).
+        seed: annealing seed.
         anneal_iters: annealing iterations (default scales with the node
             count).
         dag_order: the original DAG's node names in graph order; when
@@ -502,8 +479,6 @@ def schedule_partition(
         memory_budget = default_memory_budget(hardware)
     if memory_budget <= 0:
         raise ValueError(f"memory_budget must be positive, got {memory_budget}")
-    if seed is None:
-        seed = schedule_seed()
     nodes = partition.all_nodes()
     by_name = {node.name: node for node in nodes}
     consumers = partition.edges()

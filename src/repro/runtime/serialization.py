@@ -43,7 +43,7 @@ from ..ir.tensor import TensorSpec
 #: to network plan nodes.  Version 4 added graph-level execution
 #: scheduling: per-node ``spill_time`` and the network-level ``schedule``
 #: (execution order, live-byte profile, residency decisions; ``null``
-#: when compiled with ``REPRO_SCHED=0``).  Version 5 added multi-core
+#: when compiled with ``schedule=False``).  Version 5 added multi-core
 #: scale-out: the hardware ``link`` (inter-core interconnect), the plan
 #: ``partition`` (block-to-core sharding and its communication term),
 #: and per-node schedule ``transients`` (comm staging bytes).

@@ -58,7 +58,6 @@ from .keys import (
 )
 from .metrics import ServiceMetrics, percentile, summarize
 from .service import (
-    ENV_WARM_START,
     SOURCE_COALESCED,
     SOURCE_COMPILED,
     SOURCE_DISK,
@@ -74,7 +73,6 @@ from .service import (
     ServedCompile,
     as_request,
     decode_plan_entry,
-    warm_start_enabled,
 )
 from .shapes import ShapeIndex, ShapeNeighbor, log_extent_distance
 
@@ -119,6 +117,4 @@ __all__ = [
     "WARM_EXACT",
     "WARM_NEAR",
     "WARM_COLD",
-    "ENV_WARM_START",
-    "warm_start_enabled",
 ]

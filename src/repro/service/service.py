@@ -30,7 +30,6 @@ transient, and caching the degraded plan would pin the slow path forever.
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -66,26 +65,9 @@ WARM_EXACT = "exact"  # cache hit — the plan itself was reused
 WARM_NEAR = "near"  # fresh compile warm-started from a shape neighbor
 WARM_COLD = "cold"  # fresh compile with no usable neighbor
 
-#: Environment knob: set to ``0``/``false``/``off`` to disable near-miss
-#: warm starting (the shape index is still *recorded*, so re-enabling the
-#: knob picks up history).  Compiled plans are byte-identical either way —
-#: this exists for A/B latency measurement and as a belt-and-suspenders
-#: escape hatch.
-ENV_WARM_START = "REPRO_WARM_START"
-
 #: Nearest neighbors probed per miss; past the first few, entries are
 #: either evicted (skipped anyway) or too far to seed a useful start.
 NEIGHBOR_PROBES = 4
-
-
-def warm_start_enabled(override: Optional[bool] = None) -> bool:
-    """Resolve the warm-start knob (explicit override beats environment)."""
-    if override is not None:
-        return override
-    raw = os.environ.get(ENV_WARM_START)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in ("0", "false", "no", "off", "")
 
 
 class CompilationFailure(RuntimeError):
@@ -247,9 +229,10 @@ class CompileService:
             serve from; overrides every cache-shaping argument above, and
             the service adopts the cache's metrics registry so counters
             land in one place.
-        warm_start: enable near-miss warm starting (``None`` defers to the
-            ``REPRO_WARM_START`` environment knob, default on).  The shape
-            index is recorded either way; the flag only gates lookups.
+        warm_start: enable near-miss warm starting (default on).  Warm
+            starts are meant to change compile latency, not plans;
+            ``False`` exists for A/B latency measurement.  The shape index
+            is recorded either way; the flag only gates lookups.
     """
 
     def __init__(
@@ -263,7 +246,7 @@ class CompileService:
         max_memory_bytes: Optional[int] = None,
         metrics_window: int = 2048,
         cache: Optional[Union[PlanCache, ShardedPlanCache]] = None,
-        warm_start: Optional[bool] = None,
+        warm_start: bool = True,
     ) -> None:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
@@ -281,7 +264,7 @@ class CompileService:
             )
         self.retries = retries
         self.fallback = fallback
-        self.warm_start = warm_start_enabled(warm_start)
+        self.warm_start = warm_start
         # The index lives at the cache root (above the shard directories)
         # and persists with the disk tier; a memory-only cache gets a
         # memory-only index with the same lifetime.

@@ -314,10 +314,9 @@ def network_time(
             the analytic chain model with plan-backed timings.  Exactly
             one of ``chain_system`` / ``chain_times`` must be given.
         partition: the graph partition to time (defaults to
-            ``partition_graph(dag)``, which stitches MI glue under
-            ``REPRO_STITCH``).  Pass the partition a plan was compiled
-            from so ``chain_times`` keys line up with stitched node
-            names.
+            ``partition_graph(dag)``, which stitches MI glue).  Pass the
+            partition a plan was compiled from so ``chain_times`` keys
+            line up with stitched node names.
         schedule: a :class:`repro.runtime.scheduler.GraphSchedule` (or
             anything with its ``residency`` records); each evicted
             intermediate's spill/recompute overhead is charged to its

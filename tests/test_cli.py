@@ -46,6 +46,25 @@ class TestCli:
         with pytest.raises(KeyError):
             main(["plan", "X9"])
 
+    def test_plan_cores_is_a_compile_argument(self, monkeypatch, capsys):
+        import repro.__main__ as cli
+
+        seen = {}
+        real = cli.compile_chain
+
+        def spy(chain, hardware, **kwargs):
+            seen.update(kwargs)
+            return real(chain, hardware, **kwargs)
+
+        monkeypatch.setattr(cli, "compile_chain", spy)
+        assert main(["plan", "G10", "--hw", "mesh-npu-16", "--cores", "4"]) == 0
+        assert seen == {"cores": 4}
+        with pytest.raises(SystemExit, match=">= 1"):
+            main(["plan", "G10", "--cores", "0"])
+        # Only ``plan`` forces a width; ``compare`` has no such option.
+        with pytest.raises(SystemExit):
+            main(["compare", "G10", "--cores", "2"])
+
 
 class TestServiceCli:
     def test_compile_batch_cold_then_warm(self, capsys, tmp_path):
@@ -102,11 +121,6 @@ class TestServiceCli:
 
 
 class TestNetworkCli:
-    @pytest.fixture(autouse=True)
-    def _force_stitching(self, monkeypatch):
-        # The table assertions describe the stitched partition.
-        monkeypatch.setenv("REPRO_STITCH", "1")
-
     def test_compile_network_table_then_warm_json(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "plans")
         out_path = tmp_path / "bert-small.network.json"

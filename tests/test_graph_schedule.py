@@ -3,7 +3,7 @@
 Covers the scheduler's contract (ISSUE 9): fuzzed topological legality
 and peak dominance over the naive order, determinism under a fixed seed,
 rematerialize-vs-spill pricing under a binding budget, serialization
-round trips of residency decisions, the ``REPRO_SCHED=0`` escape hatch,
+round trips of residency decisions, the ``schedule=False`` escape hatch,
 the residency replay cross-check, and the explicit-stack DFS surviving a
 5000-node linear chain (the recursive exemplar idiom would blow
 ``sys.getrecursionlimit()`` there).
@@ -25,7 +25,6 @@ from repro.runtime.scheduler import (
     TensorResidency,
     default_memory_budget,
     schedule_partition,
-    scheduling_enabled,
 )
 from repro.runtime.serialization import (
     network_plan_from_dict,
@@ -42,14 +41,6 @@ from repro.workloads import (
 )
 
 HW = xeon_gold_6240()
-
-
-@pytest.fixture(autouse=True)
-def _scheduling_on(monkeypatch):
-    # This suite tests the scheduler; pin it on even when the tier-1
-    # run exercises the REPRO_SCHED=0 escape hatch (tests that need the
-    # disabled path set the variable themselves).
-    monkeypatch.setenv("REPRO_SCHED", "1")
 
 
 def _random_dag(rng, name="fuzz"):
@@ -250,24 +241,21 @@ def test_spill_overhead_charges_both_sides():
         )
 
 
-def test_sched_seed_env_and_disable_env(monkeypatch):
+def test_explicit_seed_and_schedule_off():
     dag = build_multibranch_network(branches=3, seq=64, width=256,
                                     reduce_dim=32)
-    monkeypatch.setenv("REPRO_SCHED_SEED", "7")
-    first = compile_network(dag, HW)
-    second = compile_network(dag, HW)
-    assert first.schedule.seed == 7
-    assert network_plan_json(first) == network_plan_json(second)
+    partition = partition_graph(dag)
+    first = schedule_partition(partition, HW, seed=7)
+    second = schedule_partition(partition, HW, seed=7)
+    assert first.seed == 7
+    assert first == second
 
-    monkeypatch.setenv("REPRO_SCHED", "0")
-    assert not scheduling_enabled()
-    off = compile_network(dag, HW)
-    off_again = compile_network(dag, HW)
+    off = compile_network(dag, HW, schedule=False)
+    off_again = compile_network(dag, HW, schedule=False)
     assert off.schedule is None
     assert off.peak_memory_bytes is None
     assert network_plan_json(off) == network_plan_json(off_again)
     # Unscheduled plans keep the partition's own node order.
-    partition = partition_graph(dag)
     assert tuple(n.name for n in off.nodes) == tuple(
         n.name for n in partition.all_nodes()
     )

@@ -1,0 +1,62 @@
+"""Plans depend only on their arguments.
+
+The plan cache keys on the chain, the hardware and the optimizer config.
+Anything else that can move a plan — an environment variable above all —
+is a hidden input: a cache filled under one value serves its plans to
+requests made under another.  These tests pin that no such input exists.
+"""
+
+import json
+import pathlib
+import re
+
+import pytest
+
+import repro
+from repro.hardware import mesh_npu_16
+from repro.ir.chains import batch_gemm_chain
+from repro.runtime.pipeline import compile_chain
+from repro.service import CompileService
+from tests.test_search_equivalence import decision_json, paper_decision
+
+#: Source patterns that would read a value no cache key carries.
+HIDDEN_INPUT = re.compile(r"os\.environ|os\.getenv|REPRO_")
+
+
+def test_source_reads_no_environment():
+    root = pathlib.Path(repro.__file__).parent
+    hits = [
+        f"{path.relative_to(root)}:{number}: {line.strip()}"
+        for path in sorted(root.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if HIDDEN_INPUT.search(line)
+    ]
+    assert hits == []
+
+
+def test_cores_variable_does_not_reach_the_plan_cache(tmp_path, monkeypatch):
+    """A cache filled under ``REPRO_CORES=2`` serves the default plan.
+
+    A forced width of 2 loses to the aggregate plan on mesh-npu-16, while
+    the full placement search shards this attention chain; if the
+    variable reached the optimizer, the cache would pin the unpartitioned
+    plan for every later default request.
+    """
+    chain = batch_gemm_chain(8, 256, 64, 64, 256, with_softmax=True)
+    hw = mesh_npu_16()
+    monkeypatch.setenv("REPRO_CORES", "2")
+    CompileService(cache_dir=tmp_path).compile(chain, hw)
+    monkeypatch.delenv("REPRO_CORES")
+    served = CompileService(cache_dir=tmp_path).compile(chain, hw)
+
+    default = paper_decision(chain, hw)
+    assert json.loads(default)["fused"]["partition"] is not None
+    assert decision_json(served.decision) == default
+
+
+def test_forced_width_is_refused_on_the_cached_path():
+    """``cores=`` moves the plan but not the cache key, so the service
+    path must not accept it."""
+    chain = batch_gemm_chain(8, 256, 64, 64, 256, with_softmax=True)
+    with pytest.raises(ValueError, match="cache key"):
+        compile_chain(chain, mesh_npu_16(), service=CompileService(), cores=2)

@@ -2,8 +2,8 @@
 
 The contract under test, in the order the module builds it up:
 
-* candidate enumeration (``partition_factors`` / ``REPRO_CORES``) is
-  inert without an inter-core link;
+* candidate enumeration (``partition_factors``, forced widths included)
+  is inert without an inter-core link;
 * ``partition_loops`` admits only spatial, write-covering loops;
 * ``shard_chain`` rewrites extents/flops/shapes proportionally and
   leaves replicated tensors untouched;
@@ -13,7 +13,7 @@ The contract under test, in the order the module builds it up:
   plan's predicted time);
 * ``decide_fusion`` picks a partitioned plan only on link-bearing
   hardware and only when strictly faster — linkless plans stay
-  byte-identical, ``REPRO_CORES`` set or not;
+  byte-identical, ``cores=`` given or not;
 * partitions, links and schedule transients survive serialization
   (format v5) and the scheduler charges staging bytes correctly.
 """
@@ -25,11 +25,9 @@ import pytest
 
 from repro.core.fusion import decide_fusion
 from repro.core.multicore import (
-    ENV_CORES,
     best_partitioned_plan,
     comm_steps,
     comm_volume_bytes,
-    forced_partitions,
     partition_factors,
     partition_loops,
     partition_lower_bound,
@@ -42,6 +40,7 @@ from repro.hardware import (
     InterCoreLink,
     a100,
     a100_nvlinked_sms,
+    all_presets,
     ascend_910_cluster,
     mesh_npu_16,
     xeon_gold_6240,
@@ -60,12 +59,6 @@ from repro.runtime.serialization import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _unforced_cores(monkeypatch):
-    """These tests pin default enumeration; forcing is set per-test."""
-    monkeypatch.delenv(ENV_CORES, raising=False)
-
-
 def small_attention():
     return batch_gemm_chain(8, 256, 64, 64, 256, with_softmax=True)
 
@@ -75,9 +68,8 @@ class TestPartitionFactors:
         assert partition_factors(xeon_gold_6240()) == (1,)
         assert partition_factors(a100()) == (1,)
 
-    def test_no_link_ignores_forced_cores(self, monkeypatch):
-        monkeypatch.setenv(ENV_CORES, "8")
-        assert partition_factors(a100()) == (1,)
+    def test_no_link_ignores_forced_cores(self):
+        assert partition_factors(a100(), cores=8) == (1,)
 
     def test_powers_of_two_up_to_chip(self):
         assert partition_factors(mesh_npu_16()) == (1, 2, 4, 8, 16)
@@ -86,21 +78,25 @@ class TestPartitionFactors:
         assert factors[-1] == 108
         assert factors[:-1] == (1, 2, 4, 8, 16, 32, 64)
 
-    def test_forced_cores_with_link(self, monkeypatch):
-        monkeypatch.setenv(ENV_CORES, "4")
-        assert partition_factors(mesh_npu_16()) == (4,)
-        monkeypatch.setenv(ENV_CORES, "64")  # clamped to the chip
-        assert partition_factors(mesh_npu_16()) == (16,)
+    def test_forced_cores_with_link(self):
+        assert partition_factors(mesh_npu_16(), cores=4) == (4,)
+        # clamped to the chip
+        assert partition_factors(mesh_npu_16(), cores=64) == (16,)
 
-    def test_forced_cores_validation(self, monkeypatch):
-        monkeypatch.setenv(ENV_CORES, "three")
-        with pytest.raises(ValueError, match="integer"):
-            forced_partitions()
-        monkeypatch.setenv(ENV_CORES, "0")
+    def test_forced_cores_validation(self):
+        for hw in (a100(), mesh_npu_16()):
+            with pytest.raises(ValueError, match=">= 1"):
+                partition_factors(hw, cores=0)
         with pytest.raises(ValueError, match=">= 1"):
-            forced_partitions()
-        monkeypatch.setenv(ENV_CORES, "")
-        assert forced_partitions() is None
+            decide_fusion(small_attention(), mesh_npu_16(), cores=0)
+
+    def test_forced_cores_decision(self):
+        chain = small_attention()
+        hw = mesh_npu_16()
+        forced = decide_fusion(chain, hw, cores=8).fused_plan.partition
+        assert forced is not None and forced.cores == 8
+        # A forced width that loses to the aggregate plan is not taken.
+        assert decide_fusion(chain, hw, cores=2).fused_plan.partition is None
 
 
 class TestPartitionLoops:
@@ -315,14 +311,14 @@ class TestByteIdentity:
         )
 
     @pytest.mark.parametrize(
-        "hw", [xeon_gold_6240(), a100()], ids=lambda h: h.name
+        "hw",
+        [hw for hw in all_presets() if hw.link is None],
+        ids=lambda h: h.name,
     )
-    def test_forced_cores_inert_without_link(self, hw, monkeypatch):
+    def test_forced_cores_inert_without_link(self, hw):
         chain = small_attention()
-        monkeypatch.delenv(ENV_CORES, raising=False)
         baseline = self.canonical(decide_fusion(chain, hw))
-        monkeypatch.setenv(ENV_CORES, "8")
-        forced = self.canonical(decide_fusion(chain, hw))
+        forced = self.canonical(decide_fusion(chain, hw, cores=8))
         assert forced == baseline
 
     def test_linked_preset_without_win_keeps_aggregate_plan(self):

@@ -1,5 +1,6 @@
 """Network-level compilation: partitioner, differential execution,
-serialization round-trips, and cold/warm/parallel determinism.
+serialization round-trips, cold/warm determinism, and the stitch x
+schedule off paths on Bert-Small.
 
 The differential suite compiles a 1-layer tiny Transformer, executes every
 compiled kernel plan through the block-program interpreter, and checks the
@@ -8,7 +9,6 @@ analogue of the per-chain correctness tests.
 """
 
 import json
-import os
 import random
 
 import numpy as np
@@ -37,9 +37,11 @@ from repro.runtime.serialization import (
     network_plan_from_dict,
     network_plan_json,
     network_plan_to_dict,
+    plan_to_dict,
     save_network_plan,
 )
 from repro.service import CompileService
+from repro.sim.residency import replay_schedule
 from repro.workloads import build_network, network_config
 from repro.workloads.networks import NetworkConfig
 
@@ -59,17 +61,6 @@ STITCHED_BERT_CHAINS = [
 ]
 
 TINY = NetworkConfig("Tiny-TF", layers=1, heads=2, seq=16, head_dim=8)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _force_stitching():
-    """The module's shape/determinism assertions describe the stitched
-    partition; pin the knob on so ``REPRO_STITCH=0`` tier-1 runs still
-    pass (explicit ``stitch=False`` callers are unaffected)."""
-    mp = pytest.MonkeyPatch()
-    mp.setenv("REPRO_STITCH", "1")
-    yield
-    mp.undo()
 
 
 @pytest.fixture(scope="module")
@@ -315,18 +306,10 @@ class TestSerialization:
             load_network_plan(path)
 
 
-def env_workers():
-    """The CI smoke step exercises the pool via REPRO_SEARCH_WORKERS."""
-    try:
-        return max(1, int(os.environ.get("REPRO_SEARCH_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 class TestDeterminism:
-    """Cold cache, warm cache, and the parallel search must agree byte
-    for byte on Bert-Base (extends the test_search_equivalence contract
-    to whole networks)."""
+    """Cold and warm caches must agree byte for byte with the serial
+    compile on Bert-Base (extends the test_search_equivalence contract to
+    whole networks)."""
 
     @pytest.fixture(scope="class")
     def bert(self):
@@ -355,24 +338,59 @@ class TestDeterminism:
         # Cache provenance is visible in memory but never serialized.
         assert all(n.source in ("memory", "disk") for n in warm.nodes)
 
-    def test_parallel_search_agrees(self, bert):
-        workers = env_workers()
-        if workers <= 1:
-            pytest.skip("set REPRO_SEARCH_WORKERS>=2 to exercise the pool")
-        from repro.core.search import SearchPolicy, solve_memo
 
-        dag, hw = bert
-        solve_memo().clear()
-        baseline = compile_network(
-            dag, hw, policy=SearchPolicy.exhaustive()
-        )
-        solve_memo().clear()
-        parallel = compile_network(
-            dag,
-            hw,
-            policy=SearchPolicy(prune=True, memoize=True, workers=workers),
-        )
-        assert network_plan_json(parallel) == network_plan_json(baseline)
+class TestOffPaths:
+    """Stitching and scheduling on and off, as explicit arguments, on
+    Bert-Small: each variant is deterministic across the serial and the
+    warm-service path, executes correctly, and replays its schedule."""
+
+    @pytest.fixture(scope="class")
+    def bert_small(self):
+        return build_network(network_config("Bert-Small")), xeon_gold_6240()
+
+    @pytest.fixture(scope="class")
+    def executed(self):
+        """Plans already checked against the reference (scheduling only
+        reorders nodes, so both schedule variants share their plans)."""
+        return set()
+
+    @pytest.mark.parametrize("schedule", [True, False],
+                             ids=["schedule", "no_schedule"])
+    @pytest.mark.parametrize("stitch", [True, False],
+                             ids=["stitch", "no_stitch"])
+    def test_variant(self, bert_small, executed, stitch, schedule):
+        dag, hw = bert_small
+        options = dict(stitch=stitch, schedule=schedule)
+        serial = compile_network(dag, hw, **options)
+        service = CompileService()
+        compile_network(dag, hw, service=service, **options)
+        warm = compile_network(dag, hw, service=service, **options)
+        assert all(n.source == "memory" for n in warm.nodes)
+        assert network_plan_json(warm) == network_plan_json(serial)
+        assert bool(serial.stitched_nodes) == stitch
+
+        # Every Bert-Small node executes (no tag outside EXECUTABLE_TAGS).
+        for node in serial.nodes:
+            for fusion_plan in node.plans:
+                key = json.dumps(plan_to_dict(fusion_plan), sort_keys=True)
+                if key in executed:
+                    continue
+                chain = fusion_plan.chain
+                inputs = random_inputs(chain, seed=7)
+                got = execute_program(lower_plan(fusion_plan), inputs)
+                reference = execute_reference(chain, inputs)
+                for name, expected in reference.items():
+                    np.testing.assert_allclose(
+                        got[name], expected, rtol=1e-6, atol=1e-9,
+                        err_msg=f"node {node.name} tensor {name}",
+                    )
+                executed.add(key)
+
+        if schedule:
+            replayed = replay_schedule(serial.schedule)
+            assert replayed.peak_bytes == serial.schedule.peak_bytes
+        else:
+            assert serial.schedule is None
 
 
 class TestFailureIsolation:

@@ -50,23 +50,9 @@ def models(chain):
 class TestPolicy:
     def test_defaults(self):
         policy = SearchPolicy()
-        assert policy.prune and policy.memoize and policy.workers == 1
-
-    def test_workers_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SearchPolicy(workers=0)
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEARCH_WORKERS", "3")
-        monkeypatch.setenv("REPRO_SEARCH_PRUNE", "0")
-        monkeypatch.setenv("REPRO_SEARCH_MEMO", "false")
-        policy = SearchPolicy.from_env()
-        assert policy.workers == 3
-        assert not policy.prune and not policy.memoize
-
-    def test_from_env_garbage_is_safe(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEARCH_WORKERS", "lots")
-        assert SearchPolicy.from_env().workers == 1
+        assert policy.prune and policy.memoize
+        exhaustive = SearchPolicy.exhaustive()
+        assert not exhaustive.prune and not exhaustive.memoize
 
 
 class TestBounds:
@@ -178,7 +164,7 @@ class TestMemo:
         assert memo.get("a") == "A" and memo.get("c") == "C"
 
     def test_search_memo_hits_on_repeat(self, models):
-        policy = SearchPolicy(prune=False, memoize=True, workers=1)
+        policy = SearchPolicy(prune=False, memoize=True)
         stats_cold = SearchStats()
         search_tiles(models, CAPACITY, policy=policy, stats=stats_cold)
         stats_warm = SearchStats()
@@ -188,7 +174,7 @@ class TestMemo:
         assert stats_warm.memo_hits == len(models)
 
     def test_constraints_without_token_disable_memo(self, models):
-        policy = SearchPolicy(prune=False, memoize=True, workers=1)
+        policy = SearchPolicy(prune=False, memoize=True)
         constraint = lambda tiles: -1.0  # noqa: E731 - unkeyable on purpose
         for _ in range(2):
             stats = SearchStats()
@@ -209,7 +195,7 @@ class TestStats:
         search_tiles(
             models,
             CAPACITY,
-            policy=SearchPolicy(prune=True, memoize=False, workers=1),
+            policy=SearchPolicy(prune=True, memoize=False),
             stats=stats,
         )
         assert stats.candidates == len(models)
@@ -226,7 +212,7 @@ class TestStats:
     def test_optimize_stats_surface(self, chain):
         optimizer = ChimeraOptimizer(
             xeon_gold_6240(),
-            policy=SearchPolicy(prune=True, memoize=True, workers=1),
+            policy=SearchPolicy(prune=True, memoize=True),
         )
         stats = SearchStats()
         optimizer.optimize(chain, stats=stats)
@@ -260,7 +246,7 @@ class TestPruningExactness:
             capacity,
             constraints=constraints,
             constraints_token=token,
-            policy=SearchPolicy(prune=True, memoize=True, workers=1),
+            policy=SearchPolicy(prune=True, memoize=True),
             stats=stats,
         )
         assert pruned[0].perm == baseline[0].perm
@@ -302,7 +288,7 @@ class TestWarmStartOrderHint:
     names returns exactly what the unhinted search returns.
     """
 
-    POLICY = SearchPolicy(prune=True, memoize=False, workers=1)
+    POLICY = SearchPolicy(prune=True, memoize=False)
 
     def _assert_hint_free(self, models, capacity, rng, **kwargs):
         cold = search_tiles(models, capacity, policy=self.POLICY, **kwargs)

