@@ -8,22 +8,15 @@ Two interpreters prove a fusion plan computes the right answer:
   producers run their reductions privately per spatial block, like the
   per-block scratch of a real fused kernel), and the paper's softmax trick
   (the row sum is accumulated on the fly and the division is swapped past
-  the second GEMM, Section VI-B);
+  the second GEMM, Section VI-B).  It replays the program's
+  :class:`~repro.codegen.schedule.CompiledSchedule`: block slices are
+  precomputed tables, per-block dispatch is a prebuilt closure per
+  operator, and batch GEMM blocks go through BLAS-backed ``matmul``;
 * :func:`execute_reference` runs the chain operator-by-operator with plain
-  whole-tensor numpy calls.
+  whole-tensor numpy calls — the oracle.
 
-:func:`execute_program` has two engines.  The default ``"compiled"`` engine
-replays the program's :class:`~repro.codegen.schedule.CompiledSchedule`:
-block slices are precomputed tables, per-block dispatch is a prebuilt
-closure per operator, and batch GEMM blocks go through BLAS-backed
-``matmul`` instead of ``einsum``.  The ``"legacy"`` engine re-walks the
-loop tree and re-derives every region per block; it is kept as the
-independent reference the equivalence suite compares against
-(``tests/test_compiled_schedule.py``).
-
-Tests assert the engines and the reference agree for every chain family and
-for randomly chosen orders/tiles (the dependency-preservation property the
-paper claims).
+Tests assert the two agree for every chain family and for randomly chosen
+orders/tiles (the dependency-preservation property the paper claims).
 
 Convention: convolutions use trailing zero padding — the output grid is
 ``OH = H // stride`` and windows may read up to ``(OH-1)*stride + k - 1``,
@@ -60,6 +53,21 @@ def virtual_shapes(chain: OperatorChain) -> Dict[str, Tuple[int, ...]]:
 
 
 def _allocate(chain: OperatorChain, inputs: Mapping[str, np.ndarray]) -> Arrays:
+    """Zeroed working arrays with the chain inputs copied in.
+
+    Only chain inputs may be given: a value for an intermediate or an
+    output would pre-seed a buffer the kernels accumulate into.
+    """
+    expected = set(chain.input_tensors())
+    unknown = sorted(set(inputs) - expected)
+    if unknown:
+        raise ValueError(
+            f"not chain inputs: {unknown} (the chain inputs are "
+            f"{sorted(expected)})"
+        )
+    missing = sorted(expected - set(inputs))
+    if missing:
+        raise ValueError(f"missing chain inputs: {missing}")
     shapes = virtual_shapes(chain)
     arrays: Arrays = {}
     for name, spec in chain.tensors.items():
@@ -73,29 +81,7 @@ def _allocate(chain: OperatorChain, inputs: Mapping[str, np.ndarray]) -> Arrays:
                 )
             array[tuple(slice(0, s) for s in spec.shape)] = given
         arrays[name] = array
-    missing = set(chain.input_tensors()) - set(inputs)
-    if missing:
-        raise ValueError(f"missing chain inputs: {sorted(missing)}")
     return arrays
-
-
-def _op_ranges(op: OperatorSpec, block: Ranges) -> Ranges:
-    """The block's iteration range for each of the op's loops."""
-    ranges: Ranges = {}
-    for loop in op.loops:
-        ranges[loop.name] = block.get(loop.name, (0, loop.extent))
-    return ranges
-
-
-def _region_slices(
-    op: OperatorSpec,
-    tensor: str,
-    block: Ranges,
-    shape: Tuple[int, ...],
-) -> Tuple[slice, ...]:
-    access = op.access_of(tensor)
-    region = access.region_from_ranges(_op_ranges(op, block), shape)
-    return tuple(slice(lo, hi) for lo, hi in region)
 
 
 def _has_halo_output(op: OperatorSpec) -> bool:
@@ -106,194 +92,10 @@ def _has_halo_output(op: OperatorSpec) -> bool:
     )
 
 
-def _gemm_block(
-    op: OperatorSpec,
-    arrays: Arrays,
-    block: Ranges,
-    *,
-    full_reduction: bool = False,
-) -> None:
-    lhs_a, rhs_a = op.reads
-    out_a = op.output
-    if full_reduction:
-        reductions = set(op.reduction_loop_names)
-        block = {k: v for k, v in block.items() if k not in reductions}
-    lhs = arrays[lhs_a.tensor][
-        _region_slices(op, lhs_a.tensor, block, arrays[lhs_a.tensor].shape)
-    ]
-    rhs = arrays[rhs_a.tensor][
-        _region_slices(op, rhs_a.tensor, block, arrays[rhs_a.tensor].shape)
-    ]
-    out_slices = _region_slices(
-        op, out_a.tensor, block, arrays[out_a.tensor].shape
-    )
-    if op.tag == "gemm":
-        update = lhs @ rhs
-    elif op.attrs.get("transpose_b"):
-        update = np.einsum("bmk,bnk->bmn", lhs, rhs)
-    else:  # batch_gemm, row-major rhs
-        update = np.einsum("bmk,bkn->bmn", lhs, rhs)
-    if full_reduction:
-        arrays[out_a.tensor][out_slices] = update
-    else:
-        arrays[out_a.tensor][out_slices] += update
-
-
-def _conv_block(
-    op: OperatorSpec,
-    arrays: Arrays,
-    block: Ranges,
-    *,
-    full_reduction: bool = False,
-) -> None:
-    data_a, weight_a = op.reads
-    out_a = op.output
-    stride = int(op.attrs["stride"])
-    data = arrays[data_a.tensor]
-    weight = arrays[weight_a.tensor]
-    out = arrays[out_a.tensor]
-
-    out_slices = _region_slices(op, out_a.tensor, block, out.shape)
-    n_sl, oc_sl, y_sl, x_sl = out_slices
-    # Reduction loop identity: builders declare conv reductions in
-    # (ic, rh, rw) order and rewriting preserves declaration order.
-    ic_name, rh_name, rw_name = op.reduction_loop_names
-    if full_reduction:
-        ic0, ic1 = 0, op.loop(ic_name).extent
-        rh0, rh1 = 0, op.loop(rh_name).extent
-        rw0, rw1 = 0, op.loop(rw_name).extent
-    else:
-        ranges = _op_ranges(op, block)
-        ic0, ic1 = ranges[ic_name]
-        rh0, rh1 = ranges[rh_name]
-        rw0, rw1 = ranges[rw_name]
-
-    if y_sl.start >= y_sl.stop or x_sl.start >= x_sl.stop:
-        return
-    acc = np.zeros(
-        (
-            n_sl.stop - n_sl.start,
-            oc_sl.stop - oc_sl.start,
-            y_sl.stop - y_sl.start,
-            x_sl.stop - x_sl.start,
-        ),
-        dtype=np.float64,
-    )
-    for kh in range(rh0, rh1):
-        for kw in range(rw0, rw1):
-            patch = data[
-                n_sl,
-                ic0:ic1,
-                y_sl.start * stride + kh : (y_sl.stop - 1) * stride + kh + 1 : stride,
-                x_sl.start * stride + kw : (x_sl.stop - 1) * stride + kw + 1 : stride,
-            ]
-            w = weight[oc_sl, ic0:ic1, kh, kw]
-            acc += np.einsum("nchw,oc->nohw", patch, w)
-    if full_reduction:
-        # Halo'd producer: every block recomputes its full region into
-        # private scratch; overlapping assignments are idempotent.
-        out[n_sl, oc_sl, y_sl, x_sl] = acc
-    else:
-        out[n_sl, oc_sl, y_sl, x_sl] += acc
-
-
-def _depthwise_block(
-    op: OperatorSpec,
-    arrays: Arrays,
-    block: Ranges,
-    *,
-    full_reduction: bool = False,
-) -> None:
-    data_a, weight_a = op.reads
-    out_a = op.output
-    stride = int(op.attrs["stride"])
-    data = arrays[data_a.tensor]
-    weight = arrays[weight_a.tensor]
-    out = arrays[out_a.tensor]
-
-    out_slices = _region_slices(op, out_a.tensor, block, out.shape)
-    n_sl, c_sl, y_sl, x_sl = out_slices
-    rh_name, rw_name = op.reduction_loop_names
-    if full_reduction:
-        rh0, rh1 = 0, op.loop(rh_name).extent
-        rw0, rw1 = 0, op.loop(rw_name).extent
-    else:
-        ranges = _op_ranges(op, block)
-        rh0, rh1 = ranges[rh_name]
-        rw0, rw1 = ranges[rw_name]
-
-    if y_sl.start >= y_sl.stop or x_sl.start >= x_sl.stop:
-        return
-    acc = np.zeros(
-        (
-            n_sl.stop - n_sl.start,
-            c_sl.stop - c_sl.start,
-            y_sl.stop - y_sl.start,
-            x_sl.stop - x_sl.start,
-        ),
-        dtype=np.float64,
-    )
-    for kh in range(rh0, rh1):
-        for kw in range(rw0, rw1):
-            patch = data[
-                n_sl,
-                c_sl,
-                y_sl.start * stride + kh : (y_sl.stop - 1) * stride + kh + 1 : stride,
-                x_sl.start * stride + kw : (x_sl.stop - 1) * stride + kw + 1 : stride,
-            ]
-            w = weight[c_sl, kh, kw]
-            acc += patch * w[None, :, None, None]
-    if full_reduction:
-        out[n_sl, c_sl, y_sl, x_sl] = acc
-    else:
-        out[n_sl, c_sl, y_sl, x_sl] += acc
-
-
-def _elementwise_block(
-    op: OperatorSpec,
-    arrays: Arrays,
-    block: Ranges,
-    row_sums: Dict[str, np.ndarray],
-) -> None:
-    src_a = op.reads[0]
-    out_a = op.output
-    src_slices = _region_slices(op, src_a.tensor, block, arrays[src_a.tensor].shape)
-    out_slices = _region_slices(op, out_a.tensor, block, arrays[out_a.tensor].shape)
-    src = arrays[src_a.tensor][src_slices]
-    if op.tag == "relu":
-        arrays[out_a.tensor][out_slices] = np.maximum(src, 0.0)
-    elif op.tag == "bias_add":
-        arrays[out_a.tensor][out_slices] = src + 1.0
-    elif op.tag == "gelu":
-        arrays[out_a.tensor][out_slices] = (
-            0.5 * src * (1.0 + np.tanh(0.7978845608 * (src + 0.044715 * src**3)))
-        )
-    elif op.tag == "softmax":
-        # The fused softmax: exponentiate in place, accumulate the row sum,
-        # and defer the division (it is swapped past the consumer GEMM).
-        exp = np.exp(src)
-        arrays[out_a.tensor][out_slices] = exp
-        sums = row_sums[op.name]
-        sums[out_slices[:-1]] += exp.sum(axis=-1)
-    elif op.tag == "layer_norm":
-        # The fused layer norm: copy the raw values and accumulate per-row
-        # sum and sum of squares; normalization is deferred to kernel end
-        # (see _apply_deferred_layer_norm), when every block of the row has
-        # been accumulated.
-        arrays[out_a.tensor][out_slices] = src
-        acc = row_sums[op.name]
-        acc[0][out_slices[:-1]] += src.sum(axis=-1)
-        acc[1][out_slices[:-1]] += (src * src).sum(axis=-1)
-    else:
-        raise NotImplementedError(
-            f"no block executor for memory-intensive op {op.tag!r}"
-        )
-
-
 def _prepare_state(
     chain: OperatorChain, arrays: Arrays
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, bool]]:
-    """Row-reduction accumulators and halo-output flags (both engines).
+    """Row-reduction accumulators and halo-output flags.
 
     ``row_sums[op]`` holds a per-row ``(rows...)`` exp-sum for softmax
     operators, and a ``(2, rows...)`` sum / sum-of-squares pair for
@@ -328,19 +130,13 @@ def _crop_outputs(chain: OperatorChain, arrays: Arrays) -> Arrays:
 
 
 def execute_program(
-    program: BlockProgram,
-    inputs: Mapping[str, np.ndarray],
-    *,
-    engine: str = "compiled",
+    program: BlockProgram, inputs: Mapping[str, np.ndarray]
 ) -> Arrays:
-    """Run a block program numerically.
+    """Run a block program numerically by replaying its compiled schedule.
 
     Args:
         program: the lowered block schedule.
-        inputs: chain input tensors.
-        engine: ``"compiled"`` (default — replay the compiled schedule's
-            precomputed block tables) or ``"legacy"`` (re-interpret the
-            loop tree per block; the equivalence reference).
+        inputs: exactly the chain's input tensors.
 
     Returns:
         the chain's output tensors, cropped to their declared shapes.
@@ -349,67 +145,54 @@ def execute_program(
         NotImplementedError: for operators without a block executor, or for
             softmax chains whose deferred division cannot be placed (the
             softmax consumer's output must be a chain output).
-        ValueError: for an unknown ``engine``.
+        ValueError: for missing inputs, names that are not chain inputs,
+            or inputs of the wrong shape.
     """
-    if engine == "compiled":
-        return _execute_program_compiled(program, inputs)
-    if engine == "legacy":
-        return _execute_program_legacy(program, inputs)
-    raise ValueError(
-        f"unknown executor engine {engine!r} (use 'compiled' or 'legacy')"
-    )
+    from .schedule import compile_schedule
 
-
-def _execute_program_legacy(
-    program: BlockProgram, inputs: Mapping[str, np.ndarray]
-) -> Arrays:
     chain = program.chain
+    schedule = compile_schedule(program)
     arrays = _allocate(chain, inputs)
     row_sums, halo_ops = _prepare_state(chain, arrays)
 
     # Halo'd producers run their reductions privately per spatial block
     # (the per-block scratch of a real fused kernel); re-executions of the
     # same spatial block under split reduction loops are skipped.  The same
-    # memoization also absorbs repeat visits at a coarser hierarchy level.
-    done_halo_blocks: set = set()
-    for op, block in program.iterate_blocks():
+    # mask also absorbs repeat visits at a coarser hierarchy level.
+    runners = []
+    skips: List[Optional[List[bool]]] = []
+    for table in schedule.tables:
+        op = table.op
         halo = halo_ops[op.name]
-        if halo:
-            reductions = set(op.reduction_loop_names)
-            key = (
-                op.name,
-                tuple(
-                    (name, rng)
-                    for name, rng in sorted(block.items())
-                    if name not in reductions and op.has_loop(name)
-                ),
-            )
-            if key in done_halo_blocks:
-                continue
-            done_halo_blocks.add(key)
         if op.tag in ("gemm", "batch_gemm"):
-            _gemm_block(op, arrays, block, full_reduction=halo)
-        elif op.tag == "conv2d":
-            _conv_block(op, arrays, block, full_reduction=halo)
-        elif op.tag == "depthwise_conv2d":
-            _depthwise_block(op, arrays, block, full_reduction=halo)
+            runner = _build_gemm_runner(schedule, table, arrays, halo)
+        elif op.tag in ("conv2d", "depthwise_conv2d"):
+            runner = _build_conv_runner(schedule, table, arrays, halo)
         else:
-            _elementwise_block(op, arrays, block, row_sums)
+            runner = _build_elementwise_runner(
+                schedule, table, arrays, row_sums
+            )
+        runners.append(runner)
+        skips.append(_halo_skip_mask(table) if halo else None)
+
+    for index, row in zip(
+        schedule.block_table.tolist(), schedule.block_row.tolist()
+    ):
+        skip = skips[index]
+        if skip is not None and skip[row]:
+            continue
+        runners[index](row)
 
     _apply_deferred_softmax_division(chain, arrays, row_sums)
     _apply_deferred_layer_norm(chain, arrays, row_sums)
     return _crop_outputs(chain, arrays)
 
 
-# ----------------------------------------------------------------------
-# compiled engine
-# ----------------------------------------------------------------------
 def _effective_ranges(table, halo: bool) -> np.ndarray:
     """The table's iteration ranges, reductions widened for halo'd ops.
 
-    A halo'd producer runs its reduction privately per spatial block
-    (``full_reduction``), which the legacy engine expressed by dropping the
-    reduction loops from the block dict — equivalent to their full extent.
+    A halo'd producer runs its reduction privately per spatial block, so
+    each of its blocks iterates every reduction loop over the full extent.
     """
     if not halo:
         return table.ranges
@@ -555,6 +338,8 @@ def _build_conv_runner(schedule, table, arrays: Arrays, halo: bool):
                     w = weight[c_sl, ic0:ic1, kh, kw]
                     acc += np.einsum("nchw,oc->nohw", patch, w)
         if halo:
+            # Every block recomputes its full region into private scratch;
+            # overlapping assignments are idempotent.
             out[n_sl, c_sl, y_sl, x_sl] = acc
         else:
             out[n_sl, c_sl, y_sl, x_sl] += acc
@@ -588,6 +373,8 @@ def _build_elementwise_runner(
                 * (1.0 + np.tanh(0.7978845608 * (src + 0.044715 * src**3)))
             )
     elif op.tag == "softmax":
+        # The fused softmax: exponentiate in place, accumulate the row sum,
+        # and defer the division (it is swapped past the consumer GEMM).
         sums = row_sums[op.name]
         sum_sl = [sl[:-1] for sl in out_sl]
 
@@ -596,6 +383,10 @@ def _build_elementwise_runner(
             out_arr[out_sl[row]] = exp
             sums[sum_sl[row]] += exp.sum(axis=-1)
     elif op.tag == "layer_norm":
+        # The fused layer norm: copy the raw values and accumulate per-row
+        # sum and sum of squares; normalization is deferred to kernel end
+        # (see _apply_deferred_layer_norm), when every block of the row has
+        # been accumulated.
         acc = row_sums[op.name]
         sum_sl = [sl[:-1] for sl in out_sl]
 
@@ -609,45 +400,6 @@ def _build_elementwise_runner(
             f"no block executor for memory-intensive op {op.tag!r}"
         )
     return run
-
-
-def _execute_program_compiled(
-    program: BlockProgram, inputs: Mapping[str, np.ndarray]
-) -> Arrays:
-    from .schedule import compile_schedule
-
-    chain = program.chain
-    schedule = compile_schedule(program)
-    arrays = _allocate(chain, inputs)
-    row_sums, halo_ops = _prepare_state(chain, arrays)
-
-    runners = []
-    skips: List[Optional[List[bool]]] = []
-    for table in schedule.tables:
-        op = table.op
-        halo = halo_ops[op.name]
-        if op.tag in ("gemm", "batch_gemm"):
-            runner = _build_gemm_runner(schedule, table, arrays, halo)
-        elif op.tag in ("conv2d", "depthwise_conv2d"):
-            runner = _build_conv_runner(schedule, table, arrays, halo)
-        else:
-            runner = _build_elementwise_runner(
-                schedule, table, arrays, row_sums
-            )
-        runners.append(runner)
-        skips.append(_halo_skip_mask(table) if halo else None)
-
-    for index, row in zip(
-        schedule.block_table.tolist(), schedule.block_row.tolist()
-    ):
-        skip = skips[index]
-        if skip is not None and skip[row]:
-            continue
-        runners[index](row)
-
-    _apply_deferred_softmax_division(chain, arrays, row_sums)
-    _apply_deferred_layer_norm(chain, arrays, row_sums)
-    return _crop_outputs(chain, arrays)
 
 
 def _apply_deferred_softmax_division(
@@ -705,7 +457,7 @@ def _apply_deferred_layer_norm(
 ) -> None:
     """Finalize stitched layer_norm ops from their deferred accumulators.
 
-    The block engines wrote the raw source values and accumulated per-row
+    The block runners wrote the raw source values and accumulated per-row
     sum / sum-of-squares; once every block has run, mean and variance are
     exact and the normalization is applied in one vector pass.  A
     layer_norm stitched mid-chain would hand un-normalized values to its
@@ -740,19 +492,81 @@ def execute_plan(plan, inputs: Mapping[str, np.ndarray]) -> Arrays:
 # ----------------------------------------------------------------------
 # whole-operator reference
 # ----------------------------------------------------------------------
+def _full_slices(
+    op: OperatorSpec, tensor: str, shape: Tuple[int, ...]
+) -> Tuple[slice, ...]:
+    """The region of ``tensor`` the op's whole iteration space touches."""
+    ranges: Ranges = {loop.name: (0, loop.extent) for loop in op.loops}
+    region = op.access_of(tensor).region_from_ranges(ranges, shape)
+    return tuple(slice(lo, hi) for lo, hi in region)
+
+
+def _gemm_reference(op: OperatorSpec, arrays: Arrays) -> None:
+    lhs_a, rhs_a = op.reads
+    lhs = arrays[lhs_a.tensor]
+    rhs = arrays[rhs_a.tensor]
+    out = arrays[op.output.tensor]
+    lhs = lhs[_full_slices(op, lhs_a.tensor, lhs.shape)]
+    rhs = rhs[_full_slices(op, rhs_a.tensor, rhs.shape)]
+    if op.tag == "gemm":
+        update = lhs @ rhs
+    elif op.attrs.get("transpose_b"):
+        update = np.einsum("bmk,bnk->bmn", lhs, rhs)
+    else:  # batch_gemm, row-major rhs
+        update = np.einsum("bmk,bkn->bmn", lhs, rhs)
+    out[_full_slices(op, op.output.tensor, out.shape)] = update
+
+
+def _conv_reference(op: OperatorSpec, arrays: Arrays) -> None:
+    """A (depthwise) convolution, summed one window offset at a time."""
+    data_a, weight_a = op.reads
+    stride = int(op.attrs["stride"])
+    data = arrays[data_a.tensor]
+    weight = arrays[weight_a.tensor]
+    out = arrays[op.output.tensor]
+    n_sl, c_sl, y_sl, x_sl = _full_slices(op, op.output.tensor, out.shape)
+    if y_sl.start >= y_sl.stop or x_sl.start >= x_sl.stop:
+        return
+    depthwise = op.tag == "depthwise_conv2d"
+    # Reduction loop identity: builders declare conv reductions in
+    # ([ic,] rh, rw) order and rewriting preserves declaration order.
+    *ic_name, rh_name, rw_name = op.reduction_loop_names
+    channels = c_sl if depthwise else slice(0, op.loop(ic_name[0]).extent)
+    acc = np.zeros(
+        (
+            n_sl.stop - n_sl.start,
+            c_sl.stop - c_sl.start,
+            y_sl.stop - y_sl.start,
+            x_sl.stop - x_sl.start,
+        ),
+        dtype=np.float64,
+    )
+    for kh in range(op.loop(rh_name).extent):
+        for kw in range(op.loop(rw_name).extent):
+            patch = data[
+                n_sl,
+                channels,
+                y_sl.start * stride + kh : (y_sl.stop - 1) * stride + kh + 1 : stride,
+                x_sl.start * stride + kw : (x_sl.stop - 1) * stride + kw + 1 : stride,
+            ]
+            if depthwise:
+                acc += patch * weight[c_sl, kh, kw][None, :, None, None]
+            else:
+                w = weight[c_sl, channels, kh, kw]
+                acc += np.einsum("nchw,oc->nohw", patch, w)
+    out[n_sl, c_sl, y_sl, x_sl] = acc
+
+
 def execute_reference(
     chain: OperatorChain, inputs: Mapping[str, np.ndarray]
 ) -> Arrays:
     """Run the chain operator-by-operator with whole-tensor numpy calls."""
     arrays = _allocate(chain, inputs)
-    full_block: Ranges = {}
     for op in chain.ops:
         if op.tag in ("gemm", "batch_gemm"):
-            _gemm_block(op, arrays, full_block)
-        elif op.tag == "conv2d":
-            _conv_block(op, arrays, full_block)
-        elif op.tag == "depthwise_conv2d":
-            _depthwise_block(op, arrays, full_block)
+            _gemm_reference(op, arrays)
+        elif op.tag in ("conv2d", "depthwise_conv2d"):
+            _conv_reference(op, arrays)
         elif op.tag == "softmax":
             src = arrays[op.reads[0].tensor]
             exp = np.exp(src)
@@ -775,11 +589,7 @@ def execute_reference(
             arrays[op.output.tensor] = (src - mean) / np.sqrt(var + 1e-5)
         else:
             raise NotImplementedError(f"no reference for {op.tag!r}")
-    outputs: Arrays = {}
-    for name in chain.output_tensors():
-        spec = chain.tensors[name]
-        outputs[name] = arrays[name][tuple(slice(0, s) for s in spec.shape)]
-    return outputs
+    return _crop_outputs(chain, arrays)
 
 
 def random_inputs(

@@ -1,10 +1,10 @@
 """Compiled block schedules: flatten a program once, replay it many times.
 
 Every consumer of a :class:`BlockProgram` — the numpy executor, the region
-tracer, the hierarchy simulators — used to re-walk the loop tree and
-re-derive each block's iteration ranges and tensor regions in pure Python.
-A :class:`CompiledSchedule` does that work exactly once: the tree is
-flattened into numpy-backed *per-operator block tables* holding, per block,
+tracer, the hierarchy simulators — needs each block's iteration ranges and
+tensor regions.  A :class:`CompiledSchedule` derives them exactly once: the
+loop tree is flattened into numpy-backed *per-operator block tables*
+holding, per block,
 
 * the half-open iteration range of every operator loop,
 * the clamped element region of every tensor access (vectorized over all
@@ -12,11 +12,11 @@ flattened into numpy-backed *per-operator block tables* holding, per block,
 * the region byte count (zero for empty edge regions),
 
 plus the global execution order (``block_table`` / ``block_row``).  Nothing
-is approximated: the tables are produced by the same traversal
-(:meth:`BlockProgram.iterate_blocks`) and the same clamping rules
-(:meth:`TensorAccess.region_from_ranges`) as the interpreted paths, so every
-consumer reads identical ranges, regions and byte counts — just without
-recomputing them per block, per consumer, per run.
+is approximated: the tables come from the program's own traversal
+(:meth:`BlockProgram.iterate_blocks`) and the same clamping rules as
+:meth:`TensorAccess.region_from_ranges`, so every consumer reads the
+ranges, regions and byte counts a per-block tree walk would derive — just
+without recomputing them per block, per consumer, per run.
 
 Schedules are memoized two ways: per program *instance* (repeated calls on
 one object are free) and per program *content digest* in a process-global
@@ -123,8 +123,7 @@ class OpBlockTable:
         op: the operator.
         loop_names: ``op.loop_names`` — the column order of ``ranges``.
         ranges: ``(B, len(loop_names), 2)`` half-open iteration ranges.
-            Loops the block nest never split carry their full extent, the
-            same default the interpreted paths applied per block.
+            Loops the block nest never split carry their full extent.
         sites: one :class:`AccessSite` per access, reads first then writes.
         positions: ``(B,)`` global execution positions of this op's blocks.
     """
@@ -144,7 +143,7 @@ class OpBlockTable:
         return {name: i for i, name in enumerate(self.loop_names)}
 
     def loop_bounds(self, name: str) -> Tuple[List[int], List[int]]:
-        """Per-block (start, stop) lists of one loop (for scalar consumers)."""
+        """Per-block (start, stop) lists of one loop, as plain ints."""
         column = self.ranges[:, self.loop_index[name], :]
         return column[:, 0].tolist(), column[:, 1].tolist()
 

@@ -8,8 +8,6 @@ directly by replaying block schedules through stacked LRU region caches.
 from .cache import CacheStats, RegionCache
 from .hierarchy import MemoryHierarchySim, SimConfig
 from .linecache import (
-    LineHierarchySim,
-    SetAssociativeCache,
     boundary_fill_traffic,
     measure_movement_lines,
     simulate_movement_lines,
@@ -22,20 +20,13 @@ from .profiler import (
 )
 from .residency import ResidencyTrace, ScheduleReplayError, replay_schedule
 from .timing import movement_times, roofline_time
-from .trace import (
-    RegionAccess,
-    materialize_trace,
-    trace_program,
-    trace_program_interpreted,
-)
+from .trace import RegionAccess, materialize_trace
 
 __all__ = [
     "CacheStats",
     "RegionCache",
     "MemoryHierarchySim",
     "SimConfig",
-    "LineHierarchySim",
-    "SetAssociativeCache",
     "boundary_fill_traffic",
     "measure_movement_lines",
     "simulate_movement_lines",
@@ -50,6 +41,4 @@ __all__ = [
     "roofline_time",
     "RegionAccess",
     "materialize_trace",
-    "trace_program",
-    "trace_program_interpreted",
 ]

@@ -6,29 +6,23 @@ module provides the ground-truth cross-check: a classic set-associative
 LRU cache over 64-byte lines, with tensors laid out row-major in a flat
 address space, exactly what the paper's hardware profilers measured.
 
-Two engines produce **identical counters**:
+A program's line-access stream is generated once with numpy (span arrays
+per region row, expanded and run-length coalesced) and memoized on the
+compiled schedule, then replayed through a batched LRU update one level
+at a time.  Three exact properties make this lossless:
 
-* ``"scalar"`` — the original model: every element row of every region
-  becomes per-line :meth:`SetAssociativeCache.access` calls through
-  :class:`LineHierarchySim`.  Kept as the independent reference.
-* ``"fast"`` (default) — the compiled path: the program's line-access
-  stream is generated once with numpy (span arrays per region row,
-  expanded and run-length coalesced) and memoized on the compiled
-  schedule, then replayed through a batched LRU update.  Three exact
-  equivalences make this lossless:
-
-  - consecutive accesses to the same line with the same read/write kind
-    are, after the first, guaranteed MRU hits in the innermost level and
-    touch nothing else — so a run of length ``n`` contributes ``n - 1``
-    straight to that level's hit counter;
-  - reads walk inward-out, demand writes land in the innermost level,
-    and a dirty victim evicted from level ``k`` installs into level
-    ``k+1`` (the write-back path) — so level ``k+1``'s input stream is
-    exactly level ``k``'s read misses interleaved with its dirty
-    write-backs, and levels can still be simulated one at a time;
-  - a boundary query therefore needs only the levels up to the requested
-    one (lazy simulation), because a level's counters depend only on its
-    own input stream.
+- consecutive accesses to the same line with the same read/write kind
+  are, after the first, guaranteed MRU hits in the innermost level and
+  touch nothing else — so a run of length ``n`` contributes ``n - 1``
+  straight to that level's hit counter;
+- reads walk inward-out, demand writes land in the innermost level, and
+  a dirty victim evicted from level ``k`` installs into level ``k+1``
+  (the write-back path) — so level ``k+1``'s input stream is exactly
+  level ``k``'s read misses interleaved with its dirty write-backs, and
+  levels can be simulated one at a time;
+- a boundary query therefore needs only the levels up to the requested
+  one (lazy simulation), because a level's counters depend only on its
+  own input stream.
 
 The write-back installation is what makes fusion visible at line
 granularity: a produced-then-consumed intermediate that outgrows the
@@ -41,13 +35,14 @@ stays somewhere on chip, contributing zero DRAM-boundary *fills*
 unstitched per-op programs write it back and re-read it cold.
 
 The equivalence suite (``tests/test_compiled_schedule.py``) asserts
-field-by-field equal :class:`CacheStats` between the engines.
+field-by-field equal :class:`CacheStats` against a per-line reference
+hierarchy kept with the tests (``tests/line_oracle.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,128 +51,24 @@ from ..codegen.program import BlockProgram
 from ..codegen.schedule import compile_schedule
 from ..hardware.spec import HardwareSpec
 from .cache import CacheStats
-from .trace import materialize_trace
+
+#: Cache line size in bytes.
+LINE_BYTES = 64
+#: Associativity of every level (degraded at capacities below one set).
+WAYS = 8
 
 
-def _geometry(capacity: int, line_bytes: int, ways: int) -> Tuple[int, int]:
-    """Effective (ways, num_sets) of one level — shared by both engines.
+def _geometry(capacity: int) -> Tuple[int, int]:
+    """Effective (ways, num_sets) of one level.
 
     Capacities below one full set degrade associativity rather than
     rounding the cache away.
     """
-    if capacity < line_bytes * ways:
-        ways = max(1, capacity // line_bytes)
-    num_sets = max(1, capacity // (line_bytes * ways))
+    ways = WAYS
+    if capacity < LINE_BYTES * ways:
+        ways = max(1, capacity // LINE_BYTES)
+    num_sets = max(1, capacity // (LINE_BYTES * ways))
     return ways, num_sets
-
-
-class SetAssociativeCache:
-    """An N-way set-associative LRU cache over fixed-size lines."""
-
-    def __init__(
-        self,
-        name: str,
-        capacity: int,
-        line_bytes: int = 64,
-        ways: int = 8,
-    ) -> None:
-        self.name = name
-        self.line_bytes = line_bytes
-        self.ways, self.num_sets = _geometry(capacity, line_bytes, ways)
-        self.stats = CacheStats()
-        # Per set: list of (tag, dirty), most recently used last.
-        self._sets: List[List[Tuple[int, bool]]] = [
-            [] for _ in range(self.num_sets)
-        ]
-
-    def access(self, line: int, *, write: bool = False) -> bool:
-        """Touch one line number; returns True on hit.
-
-        Misses fill the line (counted in ``fill_bytes`` for reads) and may
-        evict the set's LRU way (dirty evictions count as write-backs).
-        """
-        hit, _ = self.demand(line, write=write)
-        return hit
-
-    def demand(
-        self, line: int, *, write: bool = False
-    ) -> Tuple[bool, Optional[int]]:
-        """Demand access returning (hit, evicted dirty victim line).
-
-        The victim (None when the eviction was clean or absent) lets a
-        hierarchy install it into the next level outward — the write-back
-        path that keeps produced-then-consumed intermediates on chip.
-        """
-        index = line % self.num_sets
-        tag = line // self.num_sets
-        ways = self._sets[index]
-        for position, (resident, dirty) in enumerate(ways):
-            if resident == tag:
-                ways.pop(position)
-                ways.append((tag, dirty or write))
-                if write:
-                    self.stats.write_hits += 1
-                else:
-                    self.stats.read_hits += 1
-                return True, None
-        if write:
-            self.stats.write_misses += 1
-        else:
-            self.stats.read_misses += 1
-            self.stats.fill_bytes += self.line_bytes
-        ways.append((tag, write))
-        if len(ways) > self.ways:
-            victim_tag, dirty = ways.pop(0)
-            if dirty:
-                self.stats.writeback_bytes += self.line_bytes
-                return False, victim_tag * self.num_sets + index
-        return False, None
-
-    def install(self, line: int) -> Optional[int]:
-        """Install a dirty line written back from the level inward.
-
-        Installs are not demand traffic: no hit/miss/fill counters move.
-        The line lands dirty at MRU; an evicted dirty victim is counted
-        as this level's write-back and returned for further cascading.
-        """
-        index = line % self.num_sets
-        tag = line // self.num_sets
-        ways = self._sets[index]
-        for position, (resident, _) in enumerate(ways):
-            if resident == tag:
-                ways.pop(position)
-                ways.append((tag, True))
-                return None
-        ways.append((tag, True))
-        if len(ways) > self.ways:
-            victim_tag, dirty = ways.pop(0)
-            if dirty:
-                self.stats.writeback_bytes += self.line_bytes
-                return victim_tag * self.num_sets + index
-        return None
-
-    def flush(self) -> None:
-        """Write back all dirty lines."""
-        self.drain()
-
-    def drain(self) -> List[int]:
-        """Flush, returning the dirty lines in eviction order.
-
-        A hierarchy installs them into the next level outward so the
-        final level's write-back counter is the true DRAM write traffic.
-        """
-        dirty_lines: List[int] = []
-        for index, ways in enumerate(self._sets):
-            for tag, dirty in ways:
-                if dirty:
-                    self.stats.writeback_bytes += self.line_bytes
-                    dirty_lines.append(tag * self.num_sets + index)
-            ways.clear()
-        return dirty_lines
-
-    @property
-    def traffic(self) -> float:
-        return float(self.stats.fill_bytes + self.stats.writeback_bytes)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -211,101 +102,6 @@ def build_layouts(chain) -> Dict[str, TensorLayout]:
     return layouts
 
 
-def region_lines(
-    layout: TensorLayout,
-    region: Tuple[Tuple[int, int], ...],
-    line_bytes: int = 64,
-) -> Iterator[Tuple[int, int]]:
-    """Yield (first_line, last_line) spans covering a rectangular region.
-
-    One span per contiguous row of the region (the innermost dimension is
-    contiguous in row-major layout).
-    """
-    lo_last, hi_last = region[-1]
-    if hi_last <= lo_last:
-        return
-    outer_ranges = region[:-1]
-
-    def recurse(axis: int, offset: int) -> Iterator[Tuple[int, int]]:
-        if axis == len(outer_ranges):
-            start = (offset + lo_last * layout.strides[-1]) * layout.elem_bytes
-            stop = (offset + (hi_last - 1) * layout.strides[-1] + 1) * layout.elem_bytes
-            yield (
-                (layout.base * layout.elem_bytes + start) // line_bytes,
-                (layout.base * layout.elem_bytes + stop - 1) // line_bytes,
-            )
-            return
-        lo, hi = outer_ranges[axis]
-        for index in range(lo, hi):
-            yield from recurse(axis + 1, offset + index * layout.strides[axis])
-
-    yield from recurse(0, 0)
-
-
-class LineHierarchySim:
-    """Stacked set-associative line caches (the ground-truth model)."""
-
-    def __init__(
-        self,
-        hardware: HardwareSpec,
-        *,
-        line_bytes: int = 64,
-        ways: int = 8,
-        shared_capacity_per_core: bool = True,
-    ) -> None:
-        self.hardware = hardware
-        self.line_bytes = line_bytes
-        self.caches: List[SetAssociativeCache] = [
-            SetAssociativeCache(name, capacity, line_bytes, ways)
-            for name, capacity in _level_capacities(
-                hardware, shared_capacity_per_core
-            )
-        ]
-
-    def _install(self, level: int, line: Optional[int]) -> None:
-        """Cascade a written-back line outward from ``level``."""
-        while line is not None and level < len(self.caches):
-            line = self.caches[level].install(line)
-            level += 1
-
-    def _demand_read(self, level: int, line: int) -> None:
-        """Read walking outward; victims install after the read passes.
-
-        The ordering (read miss propagates to the next level before the
-        victim of this level's fill installs there) mirrors the fast
-        engine's event stream exactly, keeping the engines bit-identical.
-        """
-        if level >= len(self.caches):
-            return
-        hit, victim = self.caches[level].demand(line)
-        if not hit:
-            self._demand_read(level + 1, line)
-        if victim is not None:
-            self._install(level + 1, victim)
-
-    def access_line(self, line: int, *, write: bool = False) -> None:
-        if write:
-            _, victim = self.caches[0].demand(line, write=True)
-            if victim is not None:
-                self._install(1, victim)
-            return
-        self._demand_read(0, line)
-
-    def access_span(self, first: int, last: int, *, write: bool = False) -> None:
-        for line in range(first, last + 1):
-            self.access_line(line, write=write)
-
-    def flush(self) -> None:
-        """Drain inner levels outward: dead data still pays every hop."""
-        for index, cache in enumerate(self.caches):
-            for line in cache.drain():
-                self._install(index + 1, line)
-
-    def boundary_traffic(self) -> Dict[str, float]:
-        """Bytes crossing each level's outer boundary (fills + write-backs)."""
-        return {cache.name: cache.traffic for cache in self.caches}
-
-
 def _level_capacities(
     hardware: HardwareSpec, shared_capacity_per_core: bool
 ) -> List[Tuple[str, int]]:
@@ -318,9 +114,6 @@ def _level_capacities(
     return levels
 
 
-# ----------------------------------------------------------------------
-# fast engine: vectorized stream generation + batched LRU replay
-# ----------------------------------------------------------------------
 def _ragged_ramp(lengths: np.ndarray) -> np.ndarray:
     """``[0..l0), [0..l1), ...`` concatenated, for int64 ``lengths``."""
     total = int(lengths.sum())
@@ -329,17 +122,13 @@ def _ragged_ramp(lengths: np.ndarray) -> np.ndarray:
     )
 
 
-def _site_lines(
-    layout: TensorLayout,
-    site,
-    line_bytes: int,
-) -> Tuple[np.ndarray, np.ndarray]:
+def _site_lines(layout: TensorLayout, site) -> Tuple[np.ndarray, np.ndarray]:
     """All line numbers one access site touches, for every block at once.
 
-    The vectorized equivalent of :func:`region_lines` plus per-span
-    expansion, batched over the site's ``(B, ndim, 2)`` region table:
-    ragged outer-dimension offsets (repeat + ramp per dimension), then
-    first/last line per contiguous row and one final expansion.  Blocks
+    Batched over the site's ``(B, ndim, 2)`` region table: ragged
+    outer-dimension offsets (repeat + ramp per dimension), then the
+    first/last line of each contiguous row (the innermost dimension is
+    contiguous in row-major layout) and one final expansion.  Blocks
     with empty regions (``nbytes == 0``) contribute nothing, matching the
     materialized trace.
 
@@ -366,12 +155,12 @@ def _site_lines(
     stride_last = layout.strides[-1]
     first = (
         base_bytes + (offsets + lo[blk, -1] * stride_last) * elem_bytes
-    ) // line_bytes
+    ) // LINE_BYTES
     last = (
         base_bytes
         + ((offsets + (hi[blk, -1] - 1) * stride_last + 1) * elem_bytes)
         - 1
-    ) // line_bytes
+    ) // LINE_BYTES
     lengths = last - first + 1
     lines = np.repeat(first, lengths) + _ragged_ramp(lengths)
     counts = np.bincount(
@@ -412,7 +201,7 @@ class _LineStream:
         return cached
 
 
-def _line_stream(program: BlockProgram, line_bytes: int) -> _LineStream:
+def _line_stream(program: BlockProgram) -> _LineStream:
     """Build (or fetch) the memoized line stream of a program.
 
     Each access site expands to its lines for *all* blocks in one numpy
@@ -420,12 +209,11 @@ def _line_stream(program: BlockProgram, line_bytes: int) -> _LineStream:
     scattered into global execution order — blocks by their traversal
     position, sites of one block reads-then-writes, exactly the
     materialized trace's order.  Cached in the compiled schedule's
-    scratch space keyed by ``line_bytes`` — the layouts derive from the
-    chain alone, so the schedule digest subsumes them.
+    scratch space — the layouts derive from the chain alone, so the
+    schedule digest subsumes them.
     """
     schedule = compile_schedule(program)
-    key = ("line_stream", line_bytes)
-    cached = schedule.cache.get(key)
+    cached = schedule.cache.get("line_stream")
     if cached is not None:
         return cached
 
@@ -439,9 +227,7 @@ def _line_stream(program: BlockProgram, line_bytes: int) -> _LineStream:
     site_chunks: List[np.ndarray] = []
     for table in schedule.tables:
         for ordinal, site in enumerate(table.sites):
-            lines, counts = _site_lines(
-                layouts[site.tensor], site, line_bytes
-            )
+            lines, counts = _site_lines(layouts[site.tensor], site)
             if not lines.shape[0]:
                 continue
             valid = np.flatnonzero(counts)
@@ -453,7 +239,7 @@ def _line_stream(program: BlockProgram, line_bytes: int) -> _LineStream:
             )
     if not site_chunks:
         stream = _LineStream([], [], 0, 0)
-        schedule.cache[key] = stream
+        schedule.cache["line_stream"] = stream
         return stream
 
     keys = np.concatenate(chunk_keys)
@@ -483,7 +269,7 @@ def _line_stream(program: BlockProgram, line_bytes: int) -> _LineStream:
         repeat_read_hits=int(repeats[~run_writes].sum()),
         repeat_write_hits=int(repeats[run_writes].sum()),
     )
-    schedule.cache[key] = stream
+    schedule.cache["line_stream"] = stream
     return stream
 
 
@@ -491,7 +277,6 @@ def _replay_innermost(
     stream: _LineStream,
     ways: int,
     num_sets: int,
-    line_bytes: int,
     collect_misses: bool,
 ) -> Tuple[CacheStats, List[int]]:
     """Replay the full read/write stream through the innermost level.
@@ -550,8 +335,8 @@ def _replay_innermost(
         read_misses=read_misses,
         write_hits=write_hits + stream.repeat_write_hits,
         write_misses=write_misses,
-        fill_bytes=read_misses * line_bytes,
-        writeback_bytes=writeback_lines * line_bytes,
+        fill_bytes=read_misses * LINE_BYTES,
+        writeback_bytes=writeback_lines * LINE_BYTES,
     )
     return stats, events
 
@@ -560,7 +345,6 @@ def _replay_events(
     events: Sequence[int],
     ways: int,
     num_sets: int,
-    line_bytes: int,
     collect_misses: bool,
 ) -> Tuple[CacheStats, List[int]]:
     """Replay one outer level's input event stream.
@@ -615,10 +399,56 @@ def _replay_events(
     stats = CacheStats(
         read_hits=read_hits,
         read_misses=read_misses,
-        fill_bytes=read_misses * line_bytes,
-        writeback_bytes=writeback_lines * line_bytes,
+        fill_bytes=read_misses * LINE_BYTES,
+        writeback_bytes=writeback_lines * LINE_BYTES,
     )
     return stats, out
+
+
+def _replay_levels(
+    hardware: HardwareSpec,
+    program: BlockProgram,
+    level: Optional[str],
+    shared_capacity_per_core: bool,
+    *,
+    emit_last: bool,
+) -> Tuple[Dict[str, CacheStats], List[int]]:
+    """Replay a program's line stream from the innermost level outward.
+
+    Simulates the on-chip levels up to and including ``level`` (``None``:
+    the outermost on-chip level).  Returns each simulated level's
+    post-flush stats and, with ``emit_last``, the last level's output
+    events (its read misses and dirty write-backs, see
+    :func:`_replay_innermost`); otherwise an empty event list.
+
+    Raises:
+        ValueError: if ``level`` is not an on-chip level of ``hardware``.
+    """
+    levels = _level_capacities(hardware, shared_capacity_per_core)
+    names = [name for name, _ in levels]
+    if level is None:
+        last = len(levels) - 1
+    elif level in names:
+        last = names.index(level)
+    else:
+        raise ValueError(
+            f"unknown cache level {level!r}; the on-chip levels of "
+            f"{hardware.name} are {names}"
+        )
+    stream = _line_stream(program)
+    results: Dict[str, CacheStats] = {}
+    events: List[int] = []
+    for index, (name, capacity) in enumerate(levels[: last + 1]):
+        ways, num_sets = _geometry(capacity)
+        collect = emit_last or index < last
+        if index == 0:
+            stats, events = _replay_innermost(stream, ways, num_sets, collect)
+        else:
+            # This level's input: the previous level's read misses plus
+            # its dirty write-backs, interleaved in eviction order.
+            stats, events = _replay_events(events, ways, num_sets, collect)
+        results[name] = stats
+    return results, events
 
 
 def simulate_movement_lines(
@@ -626,73 +456,24 @@ def simulate_movement_lines(
     hardware: HardwareSpec,
     program: BlockProgram,
     *,
-    line_bytes: int = 64,
-    ways: int = 8,
     shared_capacity_per_core: bool = True,
     upto_level: Optional[str] = None,
-    engine: str = "fast",
 ) -> Dict[str, CacheStats]:
     """Per-level line-cache counters for a schedule (post-flush).
 
     Args:
-        upto_level: stop after this level (fast engine only) — exact,
-            because a level's counters depend only on its own input
-            stream.  ``None`` simulates the whole hierarchy.
-        engine: ``"fast"`` (vectorized stream + batched LRU) or
-            ``"scalar"`` (per-line :class:`LineHierarchySim` reference).
+        upto_level: stop after this level — exact, because a level's
+            counters depend only on its own input stream.  ``None``
+            simulates the whole on-chip hierarchy.
 
     Returns:
         ``{level name: CacheStats}`` for every simulated level.
     """
-    levels = _level_capacities(hardware, shared_capacity_per_core)
-    if engine == "scalar":
-        layouts = build_layouts(chain)
-        sim = LineHierarchySim(
-            hardware,
-            line_bytes=line_bytes,
-            ways=ways,
-            shared_capacity_per_core=shared_capacity_per_core,
-        )
-        for access in materialize_trace(program):
-            layout = layouts[access.tensor]
-            for first, last in region_lines(layout, access.region, line_bytes):
-                sim.access_span(first, last, write=access.write)
-        sim.flush()
-        stats = {cache.name: cache.stats for cache in sim.caches}
-        if upto_level is not None:
-            names = [name for name, _ in levels]
-            cutoff = names.index(upto_level) + 1
-            stats = {name: stats[name] for name in names[:cutoff]}
-        return stats
-    if engine != "fast":
-        raise ValueError(
-            f"unknown line-sim engine {engine!r} (use 'fast' or 'scalar')"
-        )
-
-    stream = _line_stream(program, line_bytes)
-    last = len(levels) - 1
-    if upto_level is not None:
-        last = [name for name, _ in levels].index(upto_level)
-
-    results: Dict[str, CacheStats] = {}
-    events: List[int] = []
-    for index in range(last + 1):
-        name, capacity = levels[index]
-        eff_ways, num_sets = _geometry(capacity, line_bytes, ways)
-        if index == 0:
-            stats, events = _replay_innermost(
-                stream, eff_ways, num_sets, line_bytes,
-                collect_misses=index < last,
-            )
-        else:
-            # This level's input: the previous level's read misses plus
-            # its dirty write-backs, interleaved in eviction order.
-            stats, events = _replay_events(
-                events, eff_ways, num_sets, line_bytes,
-                collect_misses=index < last,
-            )
-        results[name] = stats
-    return results
+    stats, _ = _replay_levels(
+        hardware, program, upto_level, shared_capacity_per_core,
+        emit_last=False,
+    )
+    return stats
 
 
 def measure_movement_lines(
@@ -700,29 +481,15 @@ def measure_movement_lines(
     hardware: HardwareSpec,
     program: BlockProgram,
     level: Optional[str] = None,
-    *,
-    line_bytes: int = 64,
-    ways: int = 8,
-    engine: str = "fast",
 ) -> float:
     """Line-granularity measured traffic at one boundary for a schedule.
 
-    The default ``"fast"`` engine replays the memoized vectorized line
-    stream and simulates only the levels up to the requested boundary;
-    ``"scalar"`` is the original per-line reference.  Both produce the
-    same number.
+    ``level`` defaults to the innermost level; only the levels up to it
+    are simulated.  The traffic is the level's fills plus write-backs.
     """
     if level is None:
         level = hardware.innermost.name
-    stats = simulate_movement_lines(
-        chain,
-        hardware,
-        program,
-        line_bytes=line_bytes,
-        ways=ways,
-        upto_level=level,
-        engine=engine,
-    )
+    stats = simulate_movement_lines(chain, hardware, program, upto_level=level)
     level_stats = stats[level]
     return float(level_stats.fill_bytes + level_stats.writeback_bytes)
 
@@ -733,8 +500,6 @@ def boundary_fill_traffic(
     program: BlockProgram,
     level: Optional[str] = None,
     *,
-    line_bytes: int = 64,
-    ways: int = 8,
     shared_capacity_per_core: bool = True,
 ) -> Dict[str, int]:
     """Per-tensor fill bytes a level fetches from the next level outward.
@@ -751,33 +516,19 @@ def boundary_fill_traffic(
     final flush are unavoidable for any cache (it cannot know the data
     is dead), so the read side is where stitching's saving shows.
     """
-    levels = _level_capacities(hardware, shared_capacity_per_core)
-    names = [name for name, _ in levels]
-    if level is None:
-        level = names[-1]
-    stream = _line_stream(program, line_bytes)
-    events: Sequence[int] = []
-    for index in range(names.index(level) + 1):
-        _, capacity = levels[index]
-        eff_ways, num_sets = _geometry(capacity, line_bytes, ways)
-        if index == 0:
-            _, events = _replay_innermost(
-                stream, eff_ways, num_sets, line_bytes, collect_misses=True
-            )
-        else:
-            _, events = _replay_events(
-                events, eff_ways, num_sets, line_bytes, collect_misses=True
-            )
+    _, events = _replay_levels(
+        hardware, program, level, shared_capacity_per_core, emit_last=True
+    )
 
     layouts = build_layouts(chain)
     starts, ends, order = [], [], []
     for name, layout in sorted(
         layouts.items(), key=lambda item: item[1].base
     ):
-        start = layout.base * layout.elem_bytes // line_bytes
+        start = layout.base * layout.elem_bytes // LINE_BYTES
         nbytes = layout.strides[0] * layout.shape[0] * layout.elem_bytes
         starts.append(start)
-        ends.append(start + (nbytes + line_bytes - 1) // line_bytes)
+        ends.append(start + (nbytes + LINE_BYTES - 1) // LINE_BYTES)
         order.append(name)
 
     counts = {name: 0 for name in layouts}
@@ -787,5 +538,5 @@ def boundary_fill_traffic(
         slots = np.searchsorted(np.asarray(starts), lines, side="right") - 1
         for slot, count in zip(*np.unique(slots, return_counts=True)):
             if 0 <= slot < len(order) and lines[slots == slot].max() < ends[slot]:
-                counts[order[slot]] += int(count) * line_bytes
+                counts[order[slot]] += int(count) * LINE_BYTES
     return counts

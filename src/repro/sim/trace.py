@@ -5,24 +5,22 @@ of its output; the trace is the resulting stream of (tensor, region) touches
 in execution order.  Region keys are derived from clamped element ranges, so
 edge blocks and halo overlap behave exactly like on the device.
 
-:func:`trace_program` replays the program's compiled schedule
+:func:`materialize_trace` replays the program's compiled schedule
 (:mod:`repro.codegen.schedule`): regions and byte counts come from the
 precomputed per-op block tables, and the materialized access list is cached
 on the schedule, so repeated traversals (per hierarchy level, per boundary,
-per simulated-timing query) regenerate nothing.  The original tree-walking
-generator survives as :func:`trace_program_interpreted`, the independent
-reference the equivalence suite compares against.
+per simulated-timing query) regenerate nothing.  The equivalence suite
+compares it against a tree-walking reference tracer kept with the tests
+(``tests/line_oracle.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
-from ..codegen.executor import virtual_shapes
-from ..codegen.program import BlockProgram, Ranges
+from ..codegen.program import BlockProgram
 from ..codegen.schedule import CompiledSchedule, compile_schedule
-from ..ir.operator import OperatorSpec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,8 +48,8 @@ def materialize_trace(program: BlockProgram) -> List[RegionAccess]:
     """The program's full region access stream as a cached list.
 
     Built once per compiled schedule from its block tables and kept in the
-    schedule's cache, so every consumer — region hierarchy replay, line
-    simulation, movement validation — walks the same materialized list.
+    schedule's cache, so every consumer — region hierarchy replay,
+    profiling, movement validation — walks the same materialized list.
     """
     schedule = compile_schedule(program)
     cached = schedule.cache.get("trace")
@@ -86,47 +84,3 @@ def _materialize(schedule: CompiledSchedule) -> List[RegionAccess]:
             if access.nbytes:
                 append(access)
     return trace
-
-
-def trace_program(program: BlockProgram) -> Iterator[RegionAccess]:
-    """Yield the region access stream of a block program (memoized)."""
-    yield from materialize_trace(program)
-
-
-def _op_ranges(op: OperatorSpec, block: Ranges) -> Ranges:
-    ranges: Ranges = {}
-    for loop in op.loops:
-        ranges[loop.name] = block.get(loop.name, (0, loop.extent))
-    return ranges
-
-
-def trace_program_interpreted(program: BlockProgram) -> Iterator[RegionAccess]:
-    """Reference tracer: re-walk the loop tree, re-derive every region."""
-    chain = program.chain
-    shapes = virtual_shapes(chain)
-    dtype_bytes = {
-        name: spec.dtype.nbytes for name, spec in chain.tensors.items()
-    }
-    for op, block in program.iterate_blocks():
-        ranges = _op_ranges(op, block)
-        for access in op.reads:
-            region = access.region_from_ranges(ranges, shapes[access.tensor])
-            nbytes = _region_bytes(region, dtype_bytes[access.tensor])
-            if nbytes:
-                yield RegionAccess(access.tensor, region, nbytes, write=False)
-        for access in op.writes:
-            region = access.region_from_ranges(ranges, shapes[access.tensor])
-            nbytes = _region_bytes(region, dtype_bytes[access.tensor])
-            if nbytes:
-                yield RegionAccess(access.tensor, region, nbytes, write=True)
-
-
-def _region_bytes(
-    region: Tuple[Tuple[int, int], ...], elem_bytes: int
-) -> int:
-    elems = 1
-    for lo, hi in region:
-        if hi <= lo:
-            return 0
-        elems *= hi - lo
-    return elems * elem_bytes

@@ -1,11 +1,12 @@
-"""Equivalence suite for the compiled-schedule fast paths.
+"""Equivalence suite for the compiled-schedule paths.
 
-The compiled schedule and its consumers (compiled executor, materialized
-trace, vectorized line simulator) must be *indistinguishable* from the
-interpreted/scalar reference paths: identical traces, field-by-field equal
-cache counters, allclose numerics.  Random chains, orders and tilings
-across every chain family exercise the clamped-edge, halo and
-partial-reduction corners.
+The compiled schedule and its consumers (executor, materialized trace,
+vectorized line simulator) must be *indistinguishable* from the
+references: allclose numerics against the whole-operator executor, and
+identical traces and field-by-field equal cache counters against the
+tree-walking tracer and per-line hierarchy of ``tests/line_oracle.py``.
+Random chains, orders and tilings across every chain family exercise the
+clamped-edge, halo and partial-reduction corners.
 """
 
 import random
@@ -27,12 +28,12 @@ from repro.ir.chains import batch_gemm_chain, conv_chain, separable_chain
 from repro.sim.cache import RegionCache
 from repro.sim.hierarchy import MemoryHierarchySim
 from repro.sim.linecache import measure_movement_lines, simulate_movement_lines
-from repro.sim.trace import (
-    materialize_trace,
-    trace_program,
+from repro.sim.trace import materialize_trace
+
+from tests.line_oracle import (
+    simulate_lines_reference,
     trace_program_interpreted,
 )
-
 from tests.test_fuzz_chains import _random_chain, _random_order_and_tiles
 
 HW = xeon_gold_6240()
@@ -68,17 +69,12 @@ def _family_programs(seed: int):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_fuzzed_compiled_executor_matches_legacy_and_reference(seed):
+def test_fuzzed_compiled_executor_matches_reference(seed):
     for chain, program in _family_programs(seed):
         inputs = random_inputs(chain, seed)
-        compiled = execute_program(program, inputs, engine="compiled")
-        legacy = execute_program(program, inputs, engine="legacy")
+        compiled = execute_program(program, inputs)
         reference = execute_reference(chain, inputs)
         for name, expected in reference.items():
-            np.testing.assert_allclose(
-                compiled[name], legacy[name], rtol=1e-9, atol=1e-11,
-                err_msg=f"seed {seed} engines diverge on {chain.name}",
-            )
             np.testing.assert_allclose(
                 compiled[name], expected, rtol=1e-9, atol=1e-11,
                 err_msg=f"seed {seed} compiled vs reference on {chain.name}",
@@ -88,7 +84,7 @@ def test_fuzzed_compiled_executor_matches_legacy_and_reference(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_fuzzed_trace_matches_interpreted(seed):
     for _, program in _family_programs(seed):
-        assert list(trace_program(program)) == list(
+        assert list(materialize_trace(program)) == list(
             trace_program_interpreted(program)
         )
 
@@ -96,8 +92,8 @@ def test_fuzzed_trace_matches_interpreted(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_fuzzed_line_sim_stats_exactly_equal(seed):
     for chain, program in _family_programs(seed):
-        fast = simulate_movement_lines(chain, HW, program, engine="fast")
-        scalar = simulate_movement_lines(chain, HW, program, engine="scalar")
+        fast = simulate_movement_lines(chain, HW, program)
+        scalar = simulate_lines_reference(chain, HW, program)
         assert list(fast) == list(scalar)
         for name in scalar:
             assert fast[name] == scalar[name], (
@@ -111,11 +107,11 @@ def test_fuzzed_boundary_query_engines_agree(seed):
     rng = random.Random(1000 + seed)
     chain = _random_chain(rng)
     program = _random_program(rng, chain)
+    reference = simulate_lines_reference(chain, HW, program)
     for level in [lv.name for lv in HW.on_chip_levels]:
-        fast = measure_movement_lines(chain, HW, program, level, engine="fast")
-        scalar = measure_movement_lines(
-            chain, HW, program, level, engine="scalar"
-        )
+        fast = measure_movement_lines(chain, HW, program, level)
+        stats = reference[level]
+        scalar = float(stats.fill_bytes + stats.writeback_bytes)
         assert fast == scalar
 
 
@@ -186,20 +182,6 @@ def test_compiled_schedule_describe_and_table_lookup():
         assert schedule.table_for(op.name).op.name == op.name
     with pytest.raises(KeyError):
         schedule.table_for("nonexistent")
-
-
-def test_executor_rejects_unknown_engine():
-    chain = batch_gemm_chain(1, 8, 8, 8, 8)
-    program = lower_schedule(chain, ("m",), {"m": 4})
-    with pytest.raises(ValueError, match="unknown executor engine"):
-        execute_program(program, random_inputs(chain, 0), engine="bogus")
-
-
-def test_line_sim_rejects_unknown_engine():
-    chain = batch_gemm_chain(1, 8, 8, 8, 8)
-    program = lower_schedule(chain, ("m",), {"m": 4})
-    with pytest.raises(ValueError, match="unknown line-sim engine"):
-        simulate_movement_lines(chain, HW, program, engine="bogus")
 
 
 def test_region_cache_eviction_chaining_is_public():

@@ -163,6 +163,22 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="shape"):
             execute_program(program, inputs)
 
+    def test_non_input_names_raise(self):
+        # A value for an intermediate or an output would pre-seed a buffer
+        # the kernels accumulate into, shifting both paths alike; an
+        # unknown name would be dropped silently.
+        chain = gemm_chain(16, 16, 16, 16)
+        program = lower_schedule(
+            chain, ("m", "l", "k", "n"), {"m": 8, "l": 8, "k": 8, "n": 8}
+        )
+        inputs = random_inputs(chain)
+        inputs.update(C=np.ones((16, 16)), E=np.ones((16, 16)), F=np.ones(1))
+        for run, target in (
+            (execute_program, program), (execute_reference, chain)
+        ):
+            with pytest.raises(ValueError, match=r"\['C', 'E', 'F'\]"):
+                run(target, inputs)
+
     def test_virtual_shapes_cover_halo(self):
         chain = conv_chain(1, 8, 16, 16, 12, 10, 1, 1, 3, 3)
         shapes = virtual_shapes(chain)

@@ -14,7 +14,6 @@ from repro.sim import (
     simulate_plan,
     simulate_sequence,
 )
-from repro.sim.trace import trace_program
 
 
 class TestCacheDiscard:

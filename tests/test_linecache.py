@@ -1,104 +1,152 @@
-"""Tests for the line-granularity ground-truth cache model."""
+"""Tests for the line-granularity ground-truth cache model.
+
+The unit scenarios drive the production replay directly: a hand-built
+line stream through :func:`_replay_innermost`, or a hand-built event list
+(``line << 1``: demand read; ``line << 1 | 1``: write-back install)
+through :func:`_replay_events`, asserting exact counters and the output
+events each level hands outward.
+"""
 
 import pytest
 
 from repro.codegen.program import lower_schedule
 from repro.hardware import xeon_gold_6240
-from repro.hardware.spec import HardwareSpec, MemoryLevel
 from repro.ir.chains import gemm_chain
+from repro.sim.cache import CacheStats
 from repro.sim.linecache import (
-    LineHierarchySim,
-    SetAssociativeCache,
+    _geometry,
+    _LineStream,
+    _replay_events,
+    _replay_innermost,
     boundary_fill_traffic,
     build_layouts,
     measure_movement_lines,
-    region_lines,
+    simulate_movement_lines,
 )
+
+from tests.line_oracle import region_lines
+
+
+def _stream(*accesses):
+    """A line stream of ``(line, write)`` accesses, nothing coalesced."""
+    return _LineStream(
+        lines=[line for line, _ in accesses],
+        writes=[write for _, write in accesses],
+        repeat_read_hits=0,
+        repeat_write_hits=0,
+    )
+
+
+def _read(line):
+    return line << 1
+
+
+def _install(line):
+    return (line << 1) | 1
 
 
 class TestSetAssociativeCache:
+    """One level's set-associative LRU behaviour: geometry and replay."""
+
     def test_hit_after_fill(self):
-        cache = SetAssociativeCache("L1", 1024, line_bytes=64, ways=2)
-        assert not cache.access(0)
-        assert cache.access(0)
-        assert cache.stats.fill_bytes == 64
+        stats, events = _replay_innermost(
+            _stream((0, False), (0, False)), ways=2, num_sets=8,
+            collect_misses=True,
+        )
+        assert stats == CacheStats(read_hits=1, read_misses=1, fill_bytes=64)
+        assert events == [_read(0)]
 
     def test_way_conflict_eviction(self):
         # 2 ways, 4 sets: three lines mapping to set 0 conflict.
-        cache = SetAssociativeCache("L1", 512, line_bytes=64, ways=2)
-        assert cache.num_sets == 4
-        cache.access(0)
-        cache.access(4)
-        cache.access(8)  # evicts line 0 (LRU within set 0)
-        assert not cache.access(0)
+        stats, events = _replay_innermost(
+            _stream((0, False), (4, False), (8, False), (0, False)),
+            ways=2, num_sets=4, collect_misses=True,
+        )
+        # Line 8 evicted line 0 (LRU within set 0), so line 0 misses again.
+        assert stats == CacheStats(read_misses=4, fill_bytes=4 * 64)
+        assert events == [_read(0), _read(4), _read(8), _read(0)]
 
     def test_dirty_eviction_writes_back(self):
-        cache = SetAssociativeCache("L1", 128, line_bytes=64, ways=1)
-        cache.access(0, write=True)
-        cache.access(2)  # same set (2 sets: lines 0 and 2 map to set 0)
-        assert cache.stats.writeback_bytes == 64
+        # Direct-mapped, 2 sets: lines 0 and 2 share set 0.
+        stats, events = _replay_innermost(
+            _stream((0, True), (2, False)), ways=1, num_sets=2,
+            collect_misses=True,
+        )
+        assert stats == CacheStats(
+            read_misses=1, write_misses=1, fill_bytes=64, writeback_bytes=64
+        )
+        # The read miss goes outward before the victim it displaced.
+        assert events == [_read(2), _install(0)]
 
     def test_flush_writes_back_dirty(self):
-        cache = SetAssociativeCache("L1", 1024)
-        cache.access(3, write=True)
-        cache.access(5)
-        cache.flush()
-        assert cache.stats.writeback_bytes == 64
+        ways, num_sets = _geometry(1024)
+        stats, events = _replay_innermost(
+            _stream((3, True), (5, False)), ways, num_sets,
+            collect_misses=True,
+        )
+        assert stats == CacheStats(
+            read_misses=1, write_misses=1, fill_bytes=64, writeback_bytes=64
+        )
+        assert events == [_read(5), _install(3)]
 
     def test_tiny_capacity_degrades_ways(self):
-        cache = SetAssociativeCache("L1", 64, line_bytes=64, ways=8)
-        assert cache.ways == 1
+        assert _geometry(64) == (1, 1)
+        assert _geometry(3 * 64) == (3, 1)
+        assert _geometry(1024) == (8, 2)
 
 
 class TestWriteBackInstallation:
     """Dirty victims install into the next level out — the path that keeps
-    produced-then-consumed intermediates on chip across kernel stages."""
+    produced-then-consumed intermediates on chip across kernel stages.
 
-    def _sim(self):
-        levels = (
-            MemoryLevel("L1", 128, 1e9),    # 2 lines at 64B, direct-mapped
-            MemoryLevel("L2", 1024, 1e9),   # 16 lines
-            MemoryLevel("DRAM", None, 1e9),
-        )
-        hw = HardwareSpec(
-            name="tiny", backend="cpu", peak_flops=1e9, num_cores=1,
-            levels=levels,
-        )
-        return LineHierarchySim(hw, ways=1)
+    The two-level scenarios use a direct-mapped 128 B first level (2 sets)
+    and a direct-mapped 1 KiB second level (16 sets)."""
 
     def test_install_is_not_demand_traffic(self):
-        cache = SetAssociativeCache("L2", 1024, line_bytes=64, ways=1)
-        assert cache.install(3) is None
-        assert cache.stats.fill_bytes == 0
-        assert cache.stats.read_misses == 0
-        assert cache.access(3)  # the installed line is resident
+        stats, events = _replay_events(
+            [_install(3), _read(3)], ways=1, num_sets=16, collect_misses=True
+        )
+        # The install moves no demand counter; the read then hits the
+        # installed line, and the flush writes the dirty line back.
+        assert stats == CacheStats(read_hits=1, writeback_bytes=64)
+        assert events == [_install(3)]
 
     def test_install_cascades_its_own_dirty_victim(self):
-        cache = SetAssociativeCache("L2", 128, line_bytes=64, ways=1)
-        assert cache.install(0) is None
-        victim = cache.install(2)  # same set: evicts dirty line 0
-        assert victim == 0
-        assert cache.stats.writeback_bytes == 64
+        stats, events = _replay_events(
+            [_install(0), _install(2)], ways=1, num_sets=2, collect_misses=True
+        )
+        # Installing line 2 evicts dirty line 0 (same set) mid-stream; the
+        # flush then writes line 2 back.
+        assert stats == CacheStats(writeback_bytes=2 * 64)
+        assert events == [_install(0), _install(2)]
 
     def test_evicted_dirty_line_lands_in_next_level(self):
-        sim = self._sim()
-        l1, l2 = sim.caches
-        sim.access_line(0, write=True)
-        sim.access_line(2)  # conflicts with line 0 in L1: dirty eviction
-        assert l1.stats.writeback_bytes == 64
-        sim.access_line(0)  # L1 miss, but L2 holds the written-back line
-        assert l2.stats.read_hits == 1
-        assert l2.stats.fill_bytes == 64  # only line 2 was demand-filled
+        l1, events = _replay_innermost(
+            _stream((0, True), (2, False), (0, False)), ways=1, num_sets=2,
+            collect_misses=True,
+        )
+        assert l1 == CacheStats(
+            read_misses=2, write_misses=1, fill_bytes=2 * 64,
+            writeback_bytes=64,
+        )
+        assert events == [_read(2), _install(0), _read(0)]
+        l2, _ = _replay_events(events, ways=1, num_sets=16, collect_misses=True)
+        # L1 missed line 0, but L2 holds the written-back line; only line 2
+        # was demand-filled.
+        assert l2 == CacheStats(
+            read_hits=1, read_misses=1, fill_bytes=64, writeback_bytes=64
+        )
 
     def test_flush_drains_inner_levels_outward(self):
-        sim = self._sim()
-        l1, l2 = sim.caches
-        sim.access_line(0, write=True)
-        sim.flush()
+        l1, events = _replay_innermost(
+            _stream((0, True)), ways=1, num_sets=2, collect_misses=True
+        )
+        l2, out = _replay_events(events, ways=1, num_sets=16, collect_misses=True)
         # The dirty line pays every hop: L1 -> L2, then L2 -> DRAM, so the
         # outermost write-back counter is the true DRAM write traffic.
-        assert l1.stats.writeback_bytes == 64
-        assert l2.stats.writeback_bytes == 64
+        assert l1 == CacheStats(write_misses=1, writeback_bytes=64)
+        assert l2 == CacheStats(writeback_bytes=64)
+        assert out == [_install(0)]
 
     def test_boundary_fill_traffic_attributes_compulsory_io(self):
         """With the full LLC, a fused chain's DRAM fills are exactly the
@@ -144,6 +192,41 @@ class TestLayouts:
         assert len(spans) == 2  # one contiguous span per row
         for first, last in spans:
             assert last >= first
+
+
+class TestLevelQueries:
+    def test_unknown_level_lists_the_on_chip_levels(self):
+        chain = gemm_chain(16, 16, 16, 16)
+        hw = xeon_gold_6240()
+        program = lower_schedule(
+            chain, ("m", "l", "k", "n"), {"m": 8, "l": 8, "k": 8, "n": 8}
+        )
+        names = [level.name for level in hw.on_chip_levels]
+        for query in (
+            lambda: measure_movement_lines(chain, hw, program, "DRAM"),
+            lambda: simulate_movement_lines(
+                chain, hw, program, upto_level="DRAM"
+            ),
+            lambda: boundary_fill_traffic(chain, hw, program, "DRAM"),
+        ):
+            with pytest.raises(ValueError, match="'DRAM'") as info:
+                query()
+            assert str(names) in str(info.value)
+
+    def test_upto_level_is_a_prefix_of_the_full_walk(self):
+        chain = gemm_chain(32, 32, 32, 32)
+        hw = xeon_gold_6240()
+        program = lower_schedule(
+            chain, ("m", "l", "k", "n"), {"m": 8, "l": 16, "k": 8, "n": 8}
+        )
+        full = simulate_movement_lines(chain, hw, program)
+        names = list(full)
+        assert names == [level.name for level in hw.on_chip_levels]
+        for index, name in enumerate(names):
+            partial = simulate_movement_lines(
+                chain, hw, program, upto_level=name
+            )
+            assert partial == {n: full[n] for n in names[: index + 1]}
 
 
 class TestCrossValidation:

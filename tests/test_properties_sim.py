@@ -9,7 +9,7 @@ from repro.hardware.spec import HardwareSpec, MemoryLevel
 from repro.ir.chains import batch_gemm_chain, conv_chain, mlp_chain
 from repro.sim.cache import RegionCache
 from repro.sim.hierarchy import MemoryHierarchySim
-from repro.sim.trace import trace_program
+from repro.sim.trace import materialize_trace
 
 SETTINGS = settings(
     max_examples=25,
@@ -77,7 +77,7 @@ def test_producer_blocks_precede_consumer_blocks(perm, tiles):
     program = lower_schedule(chain, perm, tile_map)
     intermediates = set(chain.intermediate_tensors())
     written = set()
-    for access in trace_program(program):
+    for access in materialize_trace(program):
         if access.tensor not in intermediates:
             continue
         if access.write:
@@ -97,7 +97,7 @@ def test_trace_read_volume_at_least_compulsory(perm, tile):
     chain = mlp_chain(32, 16, 32, 16)
     tiles = {name: tile for name in chain.loop_extents()}
     program = lower_schedule(chain, perm, tiles)
-    read = sum(a.nbytes for a in trace_program(program) if not a.write)
+    read = sum(a.nbytes for a in materialize_trace(program) if not a.write)
     input_bytes = sum(
         chain.tensors[t].nbytes for t in chain.input_tensors()
     )
@@ -127,7 +127,7 @@ def test_hierarchy_traffic_monotone_in_capacity(capacity_kb):
             ),
         )
         sim = MemoryHierarchySim(hw)
-        for access in trace_program(program):
+        for access in materialize_trace(program):
             if access.write:
                 sim.write(access.key, access.nbytes)
             else:
@@ -148,7 +148,7 @@ def test_conv_trace_regions_inside_virtual_shapes():
     order = tuple(n for n in chain.independent_loops() if extents[n] > 1)
     program = lower_schedule(chain, order, {n: 3 for n in extents})
     shapes = virtual_shapes(chain)
-    for access in trace_program(program):
+    for access in materialize_trace(program):
         shape = shapes[access.tensor]
         for (lo, hi), size in zip(access.region, shape):
             assert 0 <= lo <= hi <= size

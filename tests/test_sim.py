@@ -11,12 +11,12 @@ from repro.sim import (
     MemoryHierarchySim,
     RegionCache,
     SimConfig,
+    materialize_trace,
     movement_times,
     roofline_time,
     simulate_plan,
     simulate_program,
     simulate_sequence,
-    trace_program,
 )
 
 
@@ -131,7 +131,7 @@ class TestTrace:
         program = lower_schedule(
             chain, ("m", "l", "k", "n"), {"m": 8, "l": 8, "k": 8, "n": 8}
         )
-        tensors = {a.tensor for a in trace_program(program)}
+        tensors = {a.tensor for a in materialize_trace(program)}
         assert tensors == {"A", "B", "C", "D", "E"}
 
     def test_writes_flagged(self):
@@ -139,7 +139,7 @@ class TestTrace:
         program = lower_schedule(
             chain, ("m", "l", "k", "n"), {"m": 8, "l": 8, "k": 8, "n": 8}
         )
-        writes = {a.tensor for a in trace_program(program) if a.write}
+        writes = {a.tensor for a in materialize_trace(program) if a.write}
         assert writes == {"C", "E"}
 
     def test_region_bytes_positive(self):
@@ -147,7 +147,7 @@ class TestTrace:
         program = lower_schedule(
             chain, ("m", "l", "k", "n"), {"m": 4, "l": 4, "k": 4, "n": 4}
         )
-        assert all(a.nbytes > 0 for a in trace_program(program))
+        assert all(a.nbytes > 0 for a in materialize_trace(program))
 
 
 class TestProfiler:
