@@ -6,8 +6,10 @@ into :class:`repro.core.tables.MovementTables`, the tile solver runs
 one SLSQP start per solve on analytic log-space gradients (with properly
 scaled constraints), and integer refinement scores its lattice in one
 batched call.  This
-benchmark cold-compiles GEMM + conv chains under the exhaustive order
-policy on the three single-core hardware presets and compares:
+benchmark cold-compiles GEMM + conv chains through the exhaustive order
+search (the test oracle ``tests/search_oracle.py``: every candidate
+solved, no bound, no memo) on the three single-core hardware presets and
+compares:
 
 * **baseline** — the pre-tables solver (dict-based model calls,
   finite-difference SLSQP gradients, raw byte-scale constraints).  That
@@ -36,12 +38,15 @@ import pathlib
 import sys
 import time
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+
 from repro.analysis import render_table
 from repro.core.optimizer import ChimeraOptimizer
-from repro.core.search import SearchPolicy, reset_search_stats, solve_memo
+from repro.core.search import reset_search_stats, solve_memo
 from repro.core.tables import clear_tables_memo
 from repro.hardware import preset
 from repro.workloads import conv_chain_config, gemm_chain_config
+from tests.search_oracle import exhaustive_search
 
 RESULTS_JSON = (
     pathlib.Path(__file__).parent / "results" / "BENCH_movement_tables.json"
@@ -81,10 +86,11 @@ def _cold_compile_s(chain, hw):
     solve_memo().clear()
     clear_tables_memo()
     reset_search_stats()
-    optimizer = ChimeraOptimizer(hw, policy=SearchPolicy.exhaustive())
-    started = time.perf_counter()
-    optimizer.optimize(chain)
-    return time.perf_counter() - started
+    optimizer = ChimeraOptimizer(hw)
+    with exhaustive_search():
+        started = time.perf_counter()
+        optimizer.optimize(chain)
+        return time.perf_counter() - started
 
 
 def run_experiment(smoke=False):

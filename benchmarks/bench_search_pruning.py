@@ -4,8 +4,9 @@ The inter-block search solves a constrained tile-size problem per candidate
 order; the DV lower bound (``repro.core.search``) skips solves that cannot
 beat the incumbent and the solve memo collapses symmetric orders.  This
 benchmark cold-compiles the attention GEMM chain (G1) on every hardware
-preset under the exhaustive baseline and under pruning + memoization, and
-reports latency plus orders solved vs. pruned.
+preset through the exhaustive oracle (``tests/search_oracle.py``: every
+candidate solved, no bound, no memo) and through the production search,
+and reports latency plus orders solved vs. pruned.
 
 Gates (written to ``BENCH_search_pruning.json`` via the shared artifact
 envelope):
@@ -27,35 +28,38 @@ import sys
 import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 from artifact import assert_gates, gate, write_artifact
 from repro.analysis import render_table
 from repro.core.optimizer import ChimeraOptimizer
-from repro.core.search import (
-    SearchPolicy,
-    SearchStats,
-    reset_search_stats,
-    solve_memo,
-)
+from repro.core.search import SearchStats, reset_search_stats, solve_memo
 from repro.hardware import all_presets
 from repro.runtime.serialization import plan_to_dict
 from repro.workloads import gemm_chain_config
+from tests.search_oracle import exhaustive_search
 
 #: The preset whose order space is rich enough to demand the >= 3x bar.
 GATED_PRESET = "ascend-910"
 MIN_SPEEDUP = 3.0
 
 
-def cold_optimize(chain, hw, policy):
+def cold_optimize(chain, hw):
     """One cold inter-block pass: empty memo, fresh optimizer."""
     solve_memo().clear()
     reset_search_stats()
     stats = SearchStats()
-    optimizer = ChimeraOptimizer(hw, policy=policy)
+    optimizer = ChimeraOptimizer(hw)
     started = time.perf_counter()
     plan = optimizer.optimize(chain, stats=stats)
     elapsed = time.perf_counter() - started
     return plan, stats, elapsed
+
+
+def cold_optimize_exhaustive(chain, hw):
+    """:func:`cold_optimize` through the exhaustive oracle search."""
+    with exhaustive_search():
+        return cold_optimize(chain, hw)
 
 
 def run_pruning_experiment(smoke=False):
@@ -69,12 +73,8 @@ def run_pruning_experiment(smoke=False):
     per_preset = {}
     divergent = []
     for hw in presets:
-        base_plan, base_stats, base_s = cold_optimize(
-            chain, hw, SearchPolicy.exhaustive()
-        )
-        fast_plan, fast_stats, fast_s = cold_optimize(
-            chain, hw, SearchPolicy(prune=True, memoize=True)
-        )
+        base_plan, base_stats, base_s = cold_optimize_exhaustive(chain, hw)
+        fast_plan, fast_stats, fast_s = cold_optimize(chain, hw)
         if json.dumps(plan_to_dict(fast_plan), sort_keys=True) != (
             json.dumps(plan_to_dict(base_plan), sort_keys=True)
         ):

@@ -19,10 +19,10 @@ four-start sweep.
 This benchmark fuzzes a sweep of perturbed GEMM-chain shapes per hardware
 preset and serves each through two services:
 
-* **cold** — ``CompileService(warm_start=False)``: every shape runs the
-  full optimizer;
-* **warm** — ``CompileService(warm_start=True)`` seeded with one base
-  shape: every fuzzed shape is a near miss and must compile with
+* **cold** — a fresh ``CompileService()`` per shape: its shape index is
+  empty, so the shape runs the full optimizer cold;
+* **warm** — one ``CompileService()`` seeded with one base shape: every
+  fuzzed shape is a near miss and must compile with
   ``warm_start == "near"``.
 
 Process-global memos (solve memo, tables memo) are cleared before every
@@ -126,8 +126,7 @@ def run_experiment(smoke=False):
     rows = []
     mismatches = 0
     for hw in presets:
-        warm_service = CompileService(warm_start=True)
-        cold_service = CompileService(warm_start=False)
+        warm_service = CompileService()
         # Seed the warm service's shape index with the base shape.
         _clear_memos()
         warm_service.serve((gemm_chain(*BASE_SHAPE), hw))
@@ -140,7 +139,7 @@ def run_experiment(smoke=False):
                 warm_service, gemm_chain(*shape), hw
             )
             cold_served, cold_s = _timed_serve(
-                cold_service, gemm_chain(*shape), hw
+                CompileService(), gemm_chain(*shape), hw
             )
             assert warm_served.ok and cold_served.ok
             if warm_served.warm_start == WARM_NEAR:

@@ -40,7 +40,7 @@ Examples::
     python -m repro compile-batch G10 G11 C7 --cache-dir /tmp/plans
     python -m repro compile-network --network bert-base --hw a100 --json
     python -m repro cache stats --cache-dir /tmp/plans
-    python -m repro search-stats G1 C1 --hw ascend-910 --no-prune
+    python -m repro search-stats G1 C1 --hw ascend-910
     python -m repro serve --cache-dir /tmp/plans --port 9119 --shards 4
 """
 
@@ -158,10 +158,9 @@ def _render_stats(stats: dict) -> str:
     ]
     index = stats.get("shape_index")
     if index:
-        state = "on" if index.get("enabled") else "off"
         lines.append(
             f"shape index: {index['entries']} entries across "
-            f"{index['structures']} structures (warm start {state})"
+            f"{index['structures']} structures"
         )
     return "\n".join(lines)
 
@@ -360,19 +359,17 @@ def _render_search_stats(stats: dict) -> str:
 
 def _cmd_search_stats(args: argparse.Namespace) -> int:
     from .core.search import (
-        SearchPolicy,
         reset_search_stats,
         search_stats_snapshot,
         solve_memo,
     )
 
     hw = preset(args.hw)
-    policy = SearchPolicy(prune=not args.no_prune, memoize=not args.no_memo)
     reset_search_stats()
     solve_memo().clear()
     for name in args.workloads:
         chain = _build_workload(name, args.softmax, args.relu, args.batch)
-        compile_chain(chain, hw, policy=policy)
+        compile_chain(chain, hw)
         print(f"compiled {name.upper()} on {hw.name}")
     print()
     print(_render_search_stats(search_stats_snapshot()))
@@ -591,10 +588,6 @@ def main(argv: Optional[list] = None) -> int:
     search.add_argument("--softmax", action="store_true")
     search.add_argument("--relu", action="store_true")
     search.add_argument("--batch", type=int, default=None)
-    search.add_argument("--no-prune", action="store_true",
-                        help="disable the DV lower-bound pruning")
-    search.add_argument("--no-memo", action="store_true",
-                        help="disable solve memoization")
     search.set_defaults(fn=_cmd_search_stats)
 
     args = parser.parse_args(argv)

@@ -6,8 +6,8 @@
 * :mod:`repro.core.reordering` — block order enumeration and dedup.
 * :mod:`repro.core.solver` — constrained tile-size optimization.
 * :mod:`repro.core.search` — pruned, memoized order search.
-* :mod:`repro.core.multilevel` — Eq. 2/3 multi-level hierarchy costs.
-* :mod:`repro.core.optimizer` — the end-to-end inter-block pass.
+* :mod:`repro.core.optimizer` — the end-to-end inter-block pass, one
+  memory level at a time (Eq. 2/3).
 * :mod:`repro.core.multicore` — block-to-core partitioning (scale-out).
 * :mod:`repro.core.fusion` — fuse-or-not profitability decisions.
 * :mod:`repro.core.plan` — :class:`FusionPlan` data model.
@@ -23,13 +23,7 @@ from .multicore import (
     partition_loops,
     shard_chain,
 )
-from .multilevel import (
-    boundary_bandwidth,
-    minimax_cost,
-    movement_cost,
-    solve_hierarchy,
-)
-from .optimizer import ChimeraConfig, ChimeraOptimizer, OptimizeStats
+from .optimizer import ChimeraConfig, ChimeraOptimizer
 from .plan import CorePartition, FusionPlan, LevelSchedule
 from .reordering import (
     OrderSpace,
@@ -43,7 +37,6 @@ from .reordering import (
     ordering_loops,
 )
 from .search import (
-    SearchPolicy,
     SearchStats,
     dv_lower_bound,
     reset_search_stats,
@@ -70,13 +63,8 @@ __all__ = [
     "MovementModel",
     "algorithm1",
     "executed_flops",
-    "boundary_bandwidth",
-    "minimax_cost",
-    "movement_cost",
-    "solve_hierarchy",
     "ChimeraConfig",
     "ChimeraOptimizer",
-    "OptimizeStats",
     "CorePartition",
     "FusionPlan",
     "LevelSchedule",
@@ -94,7 +82,6 @@ __all__ = [
     "enumerate_orders",
     "loop_classes",
     "ordering_loops",
-    "SearchPolicy",
     "SearchStats",
     "dv_lower_bound",
     "reset_search_stats",

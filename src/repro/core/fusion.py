@@ -21,7 +21,6 @@ from ..ir.chain import OperatorChain, single_op_chain
 from .multicore import best_partitioned_plan
 from .optimizer import ChimeraConfig, ChimeraOptimizer
 from .plan import FusionPlan
-from .search import SearchPolicy
 from .warmstart import ChainHints, PlanHint
 
 
@@ -61,7 +60,7 @@ def plan_unfused(
     chain: OperatorChain,
     hardware: HardwareSpec,
     config: Optional[ChimeraConfig] = None,
-    policy: Optional[SearchPolicy] = None,
+    *,
     hints: Optional[Mapping[str, PlanHint]] = None,
 ) -> Tuple[FusionPlan, ...]:
     """Plan every operator of ``chain`` as its own kernel.
@@ -71,7 +70,7 @@ def plan_unfused(
     warm-start plans from a neighboring shape, keyed by operator name)
     speed the per-op solves up without changing them.
     """
-    optimizer = ChimeraOptimizer(hardware, config, policy=policy)
+    optimizer = ChimeraOptimizer(hardware, config)
     plans: List[FusionPlan] = []
     for op in chain.ops:
         sub_chain = single_op_chain(op, chain.tensors)
@@ -87,7 +86,7 @@ def decide_fusion(
     chain: OperatorChain,
     hardware: HardwareSpec,
     config: Optional[ChimeraConfig] = None,
-    policy: Optional[SearchPolicy] = None,
+    *,
     hints: Optional[ChainHints] = None,
     cores: Optional[int] = None,
 ) -> FusionDecision:
@@ -107,7 +106,7 @@ def decide_fusion(
     :func:`~repro.core.multicore.partition_factors`); it is inert without
     a link.
     """
-    optimizer = ChimeraOptimizer(hardware, config, policy=policy)
+    optimizer = ChimeraOptimizer(hardware, config)
     fused = optimizer.optimize(
         chain, hint=hints.fused if hints is not None else None
     )
@@ -116,7 +115,6 @@ def decide_fusion(
             chain,
             hardware,
             config,
-            policy=policy,
             incumbent_time=fused.predicted_time,
             cores=cores,
         )
@@ -126,7 +124,6 @@ def decide_fusion(
         chain,
         hardware,
         config,
-        policy,
         hints=hints.unfused if hints is not None else None,
     )
     fused_time = fused.predicted_time

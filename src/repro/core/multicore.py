@@ -39,7 +39,7 @@ from ..ir.chain import OperatorChain
 from ..ir.loops import Loop
 from .optimizer import ChimeraConfig, ChimeraOptimizer
 from .plan import CorePartition, FusionPlan
-from .search import SearchPolicy
+
 
 def partition_factors(
     hardware: HardwareSpec, cores: Optional[int] = None
@@ -313,7 +313,7 @@ def best_partitioned_plan(
     chain: OperatorChain,
     hardware: HardwareSpec,
     config: Optional[ChimeraConfig] = None,
-    policy: Optional[SearchPolicy] = None,
+    *,
     incumbent_time: float = math.inf,
     cores: Optional[int] = None,
 ) -> Optional[FusionPlan]:
@@ -342,7 +342,7 @@ def best_partitioned_plan(
         return None
 
     extents = chain.loop_extents()
-    optimizer = ChimeraOptimizer(hardware, config, policy=policy)
+    optimizer = ChimeraOptimizer(hardware, config)
     best: Optional[FusionPlan] = None
     best_time = incumbent_time
     for loop_name in loops:

@@ -4,11 +4,11 @@ Pipeline per chain (Figure 3 of the paper):
 
 1. enumerate candidate block execution orders (deduplicated by DV
    signature, :mod:`repro.core.reordering`);
-2. rank candidates cheaply at a common probe tiling, then run the full
-   constrained tile-size solve (:mod:`repro.core.solver`) on the best
+2. rank candidates cheaply at a common probe tiling, then run the pruned,
+   memoized order search (:mod:`repro.core.search`) over the best
    ``top_candidates`` orders against the outermost on-chip level;
-3. solve the remaining memory levels under the winning order
-   (:mod:`repro.core.multilevel`) and assemble a :class:`FusionPlan`.
+3. repeat 1-2 for each inner level, nested under its parent level's
+   tiles (Section IV-C, Eq. 2/3), and assemble a :class:`FusionPlan`.
 
 Intra-block optimization (micro kernel selection) attaches afterwards via
 ``FusionPlan.with_micro_kernel`` — see :mod:`repro.runtime.pipeline`.
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..hardware.spec import HardwareSpec
@@ -26,11 +25,9 @@ from ..ir.chain import OperatorChain
 from ..ir.access import TensorAccess
 from .footprint import footprint_bytes
 from .movement import MovementModel, executed_flops
-from .multilevel import solve_hierarchy
 from .plan import FusionPlan, LevelSchedule
 from .reordering import candidate_models, producer_private_reductions
 from .search import (
-    SearchPolicy,
     SearchStats,
     chain_digest,
     record_search_stats,
@@ -136,27 +133,6 @@ class UnifiedBufferConstraint:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class OptimizeStats:
-    """Diagnostics of one optimizer run (used by the overhead benchmark).
-
-    ``solves`` counts actual tile solves; memo hits and pruned candidates
-    are reported separately, so ``solves + memo_hits + pruned`` accounts
-    for every candidate that reached the solve stage.
-    """
-
-    orders_scanned: int
-    unique_signatures: int
-    solves: int
-    elapsed_seconds: float
-    candidates: int = 0
-    bound_evals: int = 0
-    pruned: int = 0
-    memo_hits: int = 0
-    bound_seconds: float = 0.0
-    solve_seconds: float = 0.0
-
-
 class ChimeraOptimizer:
     """Analytical inter-block optimizer for one hardware target."""
 
@@ -164,15 +140,9 @@ class ChimeraOptimizer:
         self,
         hardware: HardwareSpec,
         config: Optional[ChimeraConfig] = None,
-        policy: Optional[SearchPolicy] = None,
     ) -> None:
         self.hardware = hardware
         self.config = config or ChimeraConfig()
-        # The search policy changes how fast optimize() runs, never its
-        # answer, so it lives outside ChimeraConfig (and outside plan-cache
-        # keys).
-        self.policy = policy or SearchPolicy()
-        self.last_stats: Optional[OptimizeStats] = None
 
     # ------------------------------------------------------------------
     # public API
@@ -205,13 +175,11 @@ class ChimeraOptimizer:
         Returns:
             a fused :class:`FusionPlan` with one schedule per on-chip level.
         """
-        started = time.perf_counter()
         min_tiles = self._min_tiles(chain)
         constraints = self.extra_constraints(chain)
         constraints_token = self.constraints_token(constraints)
-        digest = chain_digest(chain) if self.policy.memoize else None
+        digest = chain_digest(chain)
         search_stats = SearchStats()
-        scanned = 0
         unique = 0
         total_orders = 0
 
@@ -219,6 +187,16 @@ class ChimeraOptimizer:
         # within one level-(d+1) block, level-d sub-blocks may traverse in
         # any order, so every level independently selects the candidate
         # minimizing its own movement volume, bounded by the parent tiles.
+        #
+        # The objective is Eq. 3, the slowest stage max_d DV_d / bw_d
+        # (FusionPlan.movement_cost over each LevelSchedule.cost, Eq. 2).
+        # DV_d depends only on level d's tiles and shrinks as they grow
+        # while MU_d grows, so each level's own optimum uses the largest
+        # tiles its capacity allows.  Solving outermost-first with each
+        # inner level bounded by its parent's tiles therefore minimizes
+        # every Cost_d at once, which minimizes the max; where a nesting
+        # bound binds, the inner level cannot do better anyway — its
+        # movement is at least the parent's compulsory traffic.
         on_chip = self.hardware.on_chip_levels
         extents = chain.loop_extents()
         schedules_outer_first: List[LevelSchedule] = []
@@ -273,7 +251,6 @@ class ChimeraOptimizer:
                 prefix=prefix,
                 reuse_intermediates=outermost,
             )
-            scanned += space.enumerated
             search_stats.orders_enumerated += space.enumerated
             unique = max(unique, len(space.models))
             total_orders = max(total_orders, space.total)
@@ -299,7 +276,6 @@ class ChimeraOptimizer:
                 constraints_token=constraints_token,
                 max_parent=parent_tiles,
                 hard_min_tiles=level_hard_min,
-                policy=self.policy,
                 stats=search_stats,
                 digest=digest,
                 x0_hint=None if level_hint is None else dict(level_hint.tiles),
@@ -323,19 +299,7 @@ class ChimeraOptimizer:
             parent_tiles = {name: solution.tiles[name] for name in model.perm}
 
         schedules = tuple(reversed(schedules_outer_first))
-        elapsed = time.perf_counter() - started
-        self.last_stats = OptimizeStats(
-            orders_scanned=scanned,
-            unique_signatures=unique,
-            solves=search_stats.solves,
-            elapsed_seconds=elapsed,
-            candidates=search_stats.candidates,
-            bound_evals=search_stats.bound_evals,
-            pruned=search_stats.pruned,
-            memo_hits=search_stats.memo_hits,
-            bound_seconds=search_stats.bound_seconds,
-            solve_seconds=search_stats.solve_seconds,
-        )
+        scanned = search_stats.orders_enumerated
         if stats is not None:
             stats.merge(search_stats)
         # search_tiles folded its own counters into the global aggregate;
@@ -355,37 +319,6 @@ class ChimeraOptimizer:
             fused=True,
             executed_flops=flops,
             notes=tuple(notes),
-        )
-
-    def plan_for_order(
-        self,
-        chain: OperatorChain,
-        order: Sequence[str],
-        *,
-        hint: Optional[PlanHint] = None,
-    ) -> FusionPlan:
-        """Solve tiles for one explicit block order (ablations, Figure 8)."""
-        model = MovementModel(chain, order)
-        constraints = self.extra_constraints(chain)
-        schedules = solve_hierarchy(
-            model,
-            self.hardware,
-            min_tiles=self._min_tiles(chain),
-            quanta=self.config.quanta,
-            constraints=constraints,
-            constraints_token=self.constraints_token(constraints),
-            capacity_utilization=self.config.capacity_utilization,
-            policy=self.policy,
-            hint=hint,
-        )
-        flops = executed_flops(chain, model.perm, schedules[0].tiles)
-        return FusionPlan(
-            chain=chain,
-            hardware=self.hardware,
-            levels=tuple(schedules),
-            fused=True,
-            executed_flops=flops,
-            notes=(f"fixed order {'/'.join(order)}",),
         )
 
     # ------------------------------------------------------------------

@@ -23,10 +23,12 @@ search fast **without changing its answer**:
   aggregate backs ``service.stats()`` and the ``repro search-stats`` CLI.
 
 Determinism guarantee: for a fixed candidate list, the (model, solution)
-pair returned by :func:`search_tiles` is identical for every combination
-of ``prune``/``memoize`` — pruning is admissible (a pruned candidate
-provably cannot win the total order ``(infeasible, dv, order-tuple)``),
-and memoized entries are keyed on every input that influences the solve.
+pair returned by :func:`search_tiles` is the one solving every candidate
+and taking the minimum would return — pruning is admissible (a pruned
+candidate provably cannot win the total order ``(infeasible, dv,
+order-tuple)``), and memoized entries are keyed on every input that
+influences the solve.  The exhaustive search survives as the test oracle
+this guarantee is checked against (``tests/search_oracle.py``).
 """
 
 from __future__ import annotations
@@ -56,29 +58,6 @@ from ..ir.chain import OperatorChain
 from .movement import MovementModel
 from .solver import ConstraintFn, TileSolution, solve_tiles
 from .tables import TablesEvaluator, movement_tables, tables_memo_stats
-
-@dataclasses.dataclass(frozen=True)
-class SearchPolicy:
-    """Execution strategy of the order search.
-
-    The policy changes how fast the search runs, never what it returns —
-    it is deliberately *not* part of the compilation cache key.  Both
-    switches are on by default; turning them off gives the exhaustive
-    oracle the fast search is checked against.
-
-    Attributes:
-        prune: skip solves whose DV lower bound cannot beat the incumbent.
-        memoize: reuse solve results through the process-global
-            :class:`SolveMemo`.
-    """
-
-    prune: bool = True
-    memoize: bool = True
-
-    @staticmethod
-    def exhaustive() -> "SearchPolicy":
-        """The solve-everything baseline the search must reproduce."""
-        return SearchPolicy(prune=False, memoize=False)
 
 
 @dataclasses.dataclass
@@ -255,9 +234,9 @@ class SolveMemo:
     Keys cover every input that influences :func:`solve_tiles`: the chain
     content, the movement-model signature (equal signatures induce
     bit-identical DV/MU functions — multiplier tuples are stored sorted),
-    capacity, bounds, quanta and a caller-provided token for non-hashable
-    extra constraints.  Entries whose constraints have no token are never
-    cached.
+    capacity, bounds, quanta, whether the solve was warm-started, and a
+    caller-provided token for non-hashable extra constraints.  Entries
+    whose constraints have no token are never cached.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -327,24 +306,24 @@ def memo_key(
     model: MovementModel,
     capacity: float,
     *,
+    hinted: bool,
     min_tiles: Optional[Mapping[str, int]],
     quanta: Optional[Mapping[str, int]],
     max_parent: Optional[Mapping[str, int]],
     hard_min_tiles: Optional[Mapping[str, int]],
     constraints_token: Optional[Hashable],
-    by_signature: bool = True,
 ) -> Hashable:
-    """The full solve-input key; ``by_signature=False`` keys on the exact
-    permutation instead (used by fixed-order ablation paths, where the
-    reported order must stay the caller's)."""
-    identity = (
-        ("sig", model.signature_digest())
-        if by_signature
-        else ("perm", model.perm, model.reuse_intermediates)
-    )
+    """The full solve-input key.
+
+    ``hinted`` keeps warm-started solves apart from cold ones: a solve
+    refined from an ``x0_hint`` can land elsewhere on the DV-flat ridge
+    than a cold one, so a cold search must never read a hinted entry.
+    Hinted solves share entries among themselves whatever their hint.
+    """
     return (
+        hinted,
         digest,
-        identity,
+        model.signature_digest(),
         float(capacity),
         _sorted_items(min_tiles),
         _sorted_items(quanta),
@@ -398,32 +377,25 @@ class _Solver:
         capacity: float,
         solve_kwargs: Dict[str, Any],
         *,
-        policy: SearchPolicy,
         stats: SearchStats,
-        digest: Optional[str],
+        digest: str,
         constraints_token: Optional[Hashable],
         memo: SolveMemo,
         x0_hint: Optional[Mapping[str, float]] = None,
     ) -> None:
         self.capacity = capacity
         self.kwargs = solve_kwargs
-        # The warm-start hint travels to every solve but stays OUT of the
-        # memo key: a hinted solve refines from the hint instead of from
-        # SLSQP's landing point, and the solver's canonical descent
-        # collapses both entry points to one integer solution on every
-        # shape the warm-start tests pin — so the hint is meant to change
-        # how fast a solve runs, not what it returns.
+        # The warm-start hint travels to every solve.  A hinted solve
+        # refines from the hint instead of from SLSQP's landing point and
+        # can end on another point of the DV-flat ridge, so its memo
+        # entries are keyed apart from cold ones.
         self.x0_hint = dict(x0_hint) if x0_hint else None
         self.stats = stats
         self.memo = memo
         self.constraints_token = constraints_token
         self.digest = digest
         has_constraints = bool(solve_kwargs.get("constraints"))
-        self.memo_usable = (
-            policy.memoize
-            and digest is not None
-            and (not has_constraints or constraints_token is not None)
-        )
+        self.memo_usable = not has_constraints or constraints_token is not None
 
     def key_for(self, model: MovementModel) -> Optional[Hashable]:
         if not self.memo_usable:
@@ -432,6 +404,7 @@ class _Solver:
             self.digest,
             model,
             self.capacity,
+            hinted=self.x0_hint is not None,
             min_tiles=self.kwargs.get("min_tiles"),
             quanta=self.kwargs.get("quanta"),
             max_parent=self.kwargs.get("max_parent"),
@@ -538,7 +511,6 @@ def search_tiles(
     constraints_token: Optional[Hashable] = None,
     max_parent: Optional[Mapping[str, int]] = None,
     hard_min_tiles: Optional[Mapping[str, int]] = None,
-    policy: Optional[SearchPolicy] = None,
     stats: Optional[SearchStats] = None,
     digest: Optional[str] = None,
     x0_hint: Optional[Mapping[str, float]] = None,
@@ -547,8 +519,7 @@ def search_tiles(
     """Pick the best (model, tile solution) among candidate orders.
 
     Equivalent to solving every candidate and taking the minimum under
-    ``(infeasible, dv, order)`` — but pruned and memoized according to
-    ``policy`` (default :class:`SearchPolicy`).
+    ``(infeasible, dv, order)`` — but pruned and memoized.
 
     Args:
         models: candidate movement models (one per DV signature).
@@ -565,13 +536,14 @@ def search_tiles(
             solver's canonical descent carries a near-optimal hint to the
             cold solve's integer solution, so the hint is meant to change
             how fast the search runs, not its result (see
-            :func:`solve_tiles` for where that can fail).
+            :func:`solve_tiles` for where that can fail).  Hinted solves
+            are memoized apart from cold ones.
         incumbent_hint: a neighboring shape's winning order.  The matching
             candidate (exact permutation or DV-signature twin) is solved
             *first*, so the DV lower bound prunes against a near-optimal
             incumbent from the start.  The candidate set is never extended
-            and pruning stays admissible, so — like every other knob here —
-            the hint changes how fast the search runs, never its winner.
+            and pruning stays admissible, so the hint changes how fast the
+            search runs, never its winner.
             Unmatched (e.g. adversarial) hints are ignored.
 
     Returns:
@@ -579,9 +551,8 @@ def search_tiles(
     """
     if not models:
         raise ValueError("search_tiles needs at least one candidate model")
-    policy = policy or SearchPolicy()
     local = SearchStats(searches=1, candidates=len(models))
-    if digest is None and policy.memoize:
+    if digest is None:
         digest = chain_digest(models[0].chain)
     solve_kwargs = {
         "min_tiles": min_tiles,
@@ -593,7 +564,6 @@ def search_tiles(
     solver = _Solver(
         capacity,
         solve_kwargs,
-        policy=policy,
         stats=local,
         digest=digest,
         constraints_token=constraints_token,
@@ -601,15 +571,12 @@ def search_tiles(
         x0_hint=x0_hint,
     )
 
-    if policy.prune:
-        started = time.perf_counter()
-        bounds = dv_lower_bounds(models, capacity, constraints, max_parent)
-        bounded = list(zip(bounds, models))
-        local.bound_evals += len(bounded)
-        local.bound_seconds += time.perf_counter() - started
-        bounded.sort(key=lambda item: (item[0], item[1].perm))
-    else:
-        bounded = [(-math.inf, model) for model in models]
+    started = time.perf_counter()
+    bounds = dv_lower_bounds(models, capacity, constraints, max_parent)
+    bounded = list(zip(bounds, models))
+    local.bound_evals += len(bounded)
+    local.bound_seconds += time.perf_counter() - started
+    bounded.sort(key=lambda item: (item[0], item[1].perm))
 
     if incumbent_hint is not None:
         # Solve the neighbor's winning order first: its solution becomes
@@ -632,11 +599,7 @@ def search_tiles(
             incumbent = (model, solution)
 
     for bound, model in bounded:
-        if (
-            policy.prune
-            and incumbent is not None
-            and _prunable(bound, model.perm, incumbent)
-        ):
+        if incumbent is not None and _prunable(bound, model.perm, incumbent):
             local.pruned += 1
             continue
         push(model, solver.solve(model))
@@ -646,72 +609,3 @@ def search_tiles(
     record_search_stats(local)
     return _best_result(results)
 
-
-def memoized_solve_tiles(
-    model: MovementModel,
-    capacity: float,
-    *,
-    min_tiles: Optional[Mapping[str, int]] = None,
-    quanta: Optional[Mapping[str, int]] = None,
-    constraints: Sequence[ConstraintFn] = (),
-    constraints_token: Optional[Hashable] = None,
-    max_parent: Optional[Mapping[str, int]] = None,
-    hard_min_tiles: Optional[Mapping[str, int]] = None,
-    policy: Optional[SearchPolicy] = None,
-    digest: Optional[str] = None,
-    stats: Optional[SearchStats] = None,
-    x0_hint: Optional[Mapping[str, float]] = None,
-) -> TileSolution:
-    """Memo-aware :func:`solve_tiles` for fixed-order solves.
-
-    Keyed on the exact permutation (not the signature), so ablation paths
-    that deliberately compare symmetric orders still solve under their own
-    order while repeated solves of the same order hit the memo.
-    ``x0_hint`` is not part of the key — the solver canonicalizes the
-    refined integer point across the DV-flat ridge, so a warm start is
-    meant to change solve latency, not the solution.
-    """
-    policy = policy or SearchPolicy()
-    local = SearchStats()
-    solution: Optional[TileSolution] = None
-    key: Optional[Hashable] = None
-    if (
-        policy.memoize
-        and (not constraints or constraints_token is not None)
-    ):
-        if digest is None:
-            digest = chain_digest(model.chain)
-        key = memo_key(
-            digest,
-            model,
-            capacity,
-            min_tiles=min_tiles,
-            quanta=quanta,
-            max_parent=max_parent,
-            hard_min_tiles=hard_min_tiles,
-            constraints_token=constraints_token,
-            by_signature=False,
-        )
-        solution = _GLOBAL_MEMO.get(key)
-        if solution is not None:
-            local.memo_hits += 1
-    if solution is None:
-        started = time.perf_counter()
-        solution = solve_tiles(
-            model,
-            capacity,
-            min_tiles=min_tiles,
-            quanta=quanta,
-            constraints=constraints,
-            max_parent=max_parent,
-            hard_min_tiles=hard_min_tiles,
-            x0_hint=x0_hint,
-        )
-        local.solves += 1
-        local.solve_seconds += time.perf_counter() - started
-        if key is not None:
-            _GLOBAL_MEMO.put(key, solution)
-    if stats is not None:
-        stats.merge(local)
-    record_search_stats(local)
-    return solution

@@ -35,7 +35,9 @@ it returns**:
   theorem: a far-off hint can end elsewhere.
 
 Because hints are not meant to change results, they stay **out** of
-every memo and cache key — the same stance the search policy takes.
+every plan-cache key.  The solve memo does key on whether a solve was
+hinted (not on the hint itself): a hinted solve can land elsewhere on
+the ridge, and a cold search must never read its entry.
 
 An adversarial (wrong-neighbor) hint degrades gracefully: an order that
 matches no candidate is ignored, and tiles from an unrelated shape enter

@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from ..core.fusion import FusionDecision
 from ..core.optimizer import ChimeraConfig
 from ..core.plan import FusionPlan
-from ..core.search import SearchPolicy
 from ..hardware.spec import HardwareSpec
 from ..ir.graph import ComputeDAG, GraphNode, StitchedOp, partition_graph
 from ..workloads.networks import NetworkTiming
@@ -305,7 +304,6 @@ def compile_network(
     *,
     service: Optional["CompileService"] = None,
     config: Optional[ChimeraConfig] = None,
-    policy: Optional[SearchPolicy] = None,
     max_workers: Optional[int] = None,
     timeout: Optional[float] = None,
     timing: str = TIMING_PREDICTED,
@@ -323,8 +321,6 @@ def compile_network(
             nodes are batch-compiled through its cache/coalescing front end
             in parallel.  Without it, nodes compile serially in-process.
         config: optimizer overrides applied to every node.
-        policy: order-search execution strategy (serial path only; the
-            service compiles with the default policy).
         max_workers: batch pool size (service path only).
         timeout: per-node compile budget in seconds (service path only).
         timing: ``"predicted"`` (analytical kernel times, default) or
@@ -364,9 +360,7 @@ def compile_network(
     results: Dict[str, Tuple[CompileResult, str]] = {}
     if service is None:
         for node in plan_nodes:
-            result = pipeline.compile_chain(
-                node.chain, hardware, config, policy=policy
-            )
+            result = pipeline.compile_chain(node.chain, hardware, config)
             results[node.name] = (result, "compiled")
     else:
         from ..service import CompileRequest

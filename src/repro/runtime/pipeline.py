@@ -20,7 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle exists only for typing
     from ..service import CompileService
 from ..core.optimizer import ChimeraConfig, ChimeraOptimizer
 from ..core.plan import FusionPlan
-from ..core.search import SearchPolicy
 from ..hardware.spec import HardwareSpec
 from ..ir.chain import OperatorChain
 
@@ -70,11 +69,10 @@ def optimize_chain(
     chain: OperatorChain,
     hardware: HardwareSpec,
     config: Optional[ChimeraConfig] = None,
-    policy: Optional[SearchPolicy] = None,
 ) -> FusionPlan:
     """Run only the inter-block pass (always fusing) and attach the kernel."""
     cfg = chimera_config(chain, hardware, config)
-    plan = ChimeraOptimizer(hardware, cfg, policy=policy).optimize(chain)
+    plan = ChimeraOptimizer(hardware, cfg).optimize(chain)
     return _attach_micro_kernel(plan, hardware)
 
 
@@ -85,7 +83,6 @@ def compile_chain(
     *,
     force_fusion: Optional[bool] = None,
     service: Optional["CompileService"] = None,
-    policy: Optional[SearchPolicy] = None,
     hints: Optional[ChainHints] = None,
     cores: Optional[int] = None,
 ) -> CompileResult:
@@ -100,14 +97,11 @@ def compile_chain(
         service: a :class:`repro.service.CompileService`; when given, the
             request is routed through its plan cache (and coalesced with
             identical concurrent requests) instead of always re-optimizing.
-        policy: order-search execution strategy (pruning / memoization).
-            Affects compile latency only, never the plan, so it is not part
-            of the service cache key; defaults to :class:`SearchPolicy`.
         hints: warm-start hints from a neighboring shape's cached plan
-            (see :mod:`repro.core.warmstart`).  Like ``policy``, a pure
-            speed knob — the returned plan is byte-identical with or
-            without hints.  Ignored on the service path: the service
-            derives its own hints from its shape index.
+            (see :mod:`repro.core.warmstart`).  A speed knob, not part of
+            the service cache key: the returned plan is meant to be
+            byte-identical with or without hints.  Ignored on the service
+            path: the service derives its own hints from its shape index.
         cores: force one block-to-core placement width on hardware with
             an inter-core link (inert without one).  It changes the plan
             but is not part of the service cache key, so it cannot be
@@ -128,9 +122,7 @@ def compile_chain(
             )
         return service.compile(chain, hardware, config, force_fusion=force_fusion)
     cfg = chimera_config(chain, hardware, config)
-    decision = decide_fusion(
-        chain, hardware, cfg, policy, hints=hints, cores=cores
-    )
+    decision = decide_fusion(chain, hardware, cfg, hints=hints, cores=cores)
     if force_fusion is not None:
         decision = dataclasses.replace(decision, use_fusion=force_fusion)
     return CompileResult(

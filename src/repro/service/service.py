@@ -229,10 +229,10 @@ class CompileService:
             serve from; overrides every cache-shaping argument above, and
             the service adopts the cache's metrics registry so counters
             land in one place.
-        warm_start: enable near-miss warm starting (default on).  Warm
-            starts are meant to change compile latency, not plans;
-            ``False`` exists for A/B latency measurement.  The shape index
-            is recorded either way; the flag only gates lookups.
+
+    A miss on a new shape always warm-starts from the nearest cached
+    same-structure plan; a fresh service, whose index is empty, compiles
+    every shape cold.
     """
 
     def __init__(
@@ -246,7 +246,6 @@ class CompileService:
         max_memory_bytes: Optional[int] = None,
         metrics_window: int = 2048,
         cache: Optional[Union[PlanCache, ShardedPlanCache]] = None,
-        warm_start: bool = True,
     ) -> None:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
@@ -264,7 +263,6 @@ class CompileService:
             )
         self.retries = retries
         self.fallback = fallback
-        self.warm_start = warm_start
         # The index lives at the cache root (above the shard directories)
         # and persists with the disk tier; a memory-only cache gets a
         # memory-only index with the same lifetime.
@@ -311,53 +309,41 @@ class CompileService:
     def _serve_keyed(
         self, request: CompileRequest, key: str, started: float
     ) -> ServedCompile:
-        """Lookup/coalesce/compile for an already-counted request.
+        """:meth:`_resolve` plus the decode, for an already-counted request.
 
-        Split from :meth:`serve` so internal retries (e.g. after evicting a
-        corrupt cache entry) re-enter the lookup without inflating the
+        Split from :meth:`serve` so the retry after evicting a corrupt
+        cache entry re-enters the lookup without inflating the
         ``requests`` counter — keeping the accounting invariant
         ``requests == hits + misses + coalesced``.
         """
-        leader = False
-        with self._lock:
-            entry, tier = self.cache.get_with_tier(key)
-            if entry is not None:
-                self.metrics.count(f"hits_{tier}")
-            else:
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = _InFlight()
-                    self._inflight[key] = flight
-                    leader = True
-
+        entry, source, error, warm = self._resolve(request, key)
+        result: Optional[CompileResult] = None
         if entry is not None:
-            return self._serve_entry(
-                request, key, entry, tier, started, warm=WARM_EXACT
-            )
-
-        if not leader:
-            self.metrics.count("coalesced")
-            flight.done.wait()
-            if flight.entry is None:
-                return ServedCompile(
-                    request=request,
-                    key=key,
-                    result=None,
-                    source=SOURCE_COALESCED,
-                    seconds=time.perf_counter() - started,
-                    error=flight.error,
-                    warm_start=flight.warm_start,
-                )
-            return self._serve_entry(
-                request,
-                key,
-                flight.entry,
-                SOURCE_COALESCED,
-                started,
-                warm=flight.warm_start,
-            )
-
-        return self._lead_compile(request, key, flight, started)
+            try:
+                result = self._decode_entry(entry, request.hardware)
+            except PlanFormatError as exc:
+                # An undecodable entry: evict it, and recompile once when
+                # it came from a cache tier.
+                self.metrics.count("corrupt_entries")
+                self.cache.delete(key)
+                self.shape_index.forget(key)
+                if source in (SOURCE_MEMORY, SOURCE_DISK):
+                    # The hit never produced a result: retract it, so the
+                    # recompile registers as the miss it really is
+                    # instead of a phantom hit plus a double-counted
+                    # request.
+                    self.metrics.count(f"hits_{source}", -1)
+                    return self._serve_keyed(request, key, started)
+                error = str(exc)
+        return ServedCompile(
+            request=request,
+            key=key,
+            result=result,
+            source=source,
+            seconds=time.perf_counter() - started,
+            error=error,
+            warm_start=warm,
+        )
 
     def serve_raw(
         self, request: RequestLike, *, key: Optional[str] = None
@@ -368,9 +354,9 @@ class CompileService:
         entry straight from the cache, skipping :meth:`_decode_entry`
         (micro-kernel attachment + codegen), so its latency is dominated
         by lookup and serialization.  Cache, coalescing, metrics and
-        fallback behaviour are identical to :meth:`serve` — the two paths
-        share one in-flight table, so a ``serve`` and a ``serve_raw`` for
-        the same key coalesce onto one compile.
+        fallback behaviour are identical to :meth:`serve` — both run
+        :meth:`_resolve` over one in-flight table, so a ``serve`` and a
+        ``serve_raw`` for the same key coalesce onto one compile.
 
         Args:
             request: the compilation unit.
@@ -382,59 +368,7 @@ class CompileService:
         if key is None:
             key = request.key
         self.metrics.count("requests")
-
-        leader = False
-        with self._lock:
-            entry, tier = self.cache.get_with_tier(key)
-            if entry is not None:
-                self.metrics.count(f"hits_{tier}")
-            else:
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = _InFlight()
-                    self._inflight[key] = flight
-                    leader = True
-
-        if entry is not None:
-            return RawServed(
-                key=key,
-                entry=entry,
-                source=tier,
-                seconds=time.perf_counter() - started,
-                warm_start=WARM_EXACT,
-            )
-
-        if not leader:
-            self.metrics.count("coalesced")
-            flight.done.wait()
-            return RawServed(
-                key=key,
-                entry=flight.entry,
-                source=SOURCE_COALESCED,
-                seconds=time.perf_counter() - started,
-                error=flight.error,
-                warm_start=flight.warm_start,
-            )
-
-        self.metrics.count("misses")
-        entry = None
-        source = SOURCE_COMPILED
-        error: Optional[str] = None
-        warm = WARM_COLD
-        try:
-            entry, source, error, warm = self._compile_with_recovery(
-                request, key
-            )
-            if entry is not None and source == SOURCE_COMPILED:
-                self.cache.put(key, entry)
-                self._record_shape(request, key)
-        finally:
-            flight.entry = entry
-            flight.error = error
-            flight.warm_start = warm
-            with self._lock:
-                self._inflight.pop(key, None)
-            flight.done.set()
+        entry, source, error, warm = self._resolve(request, key)
         return RawServed(
             key=key,
             entry=entry,
@@ -455,9 +389,7 @@ class CompileService:
         snap = self.metrics.snapshot()
         snap["search"] = search_stats_snapshot()
         snap["cache"] = self.cache.stats()
-        index_stats = self.shape_index.stats()
-        index_stats["enabled"] = self.warm_start
-        snap["shape_index"] = index_stats
+        snap["shape_index"] = self.shape_index.stats()
         return snap
 
     def clear_cache(self, memory_only: bool = False) -> int:
@@ -471,17 +403,43 @@ class CompileService:
         return self.cache.clear()
 
     # ------------------------------------------------------------------
-    # leader path: compile, publish, cache
+    # lookup, coalesce, or lead the compile
     # ------------------------------------------------------------------
-    def _lead_compile(
-        self,
-        request: CompileRequest,
-        key: str,
-        flight: _InFlight,
-        started: float,
-    ) -> ServedCompile:
+    def _resolve(
+        self, request: CompileRequest, key: str
+    ) -> Tuple[Optional[Dict[str, Any]], str, Optional[str], str]:
+        """Cache lookup, then coalescing onto an in-flight compile, then
+        the leader's compile — for an already-counted request.
+
+        Returns ``(entry, source, error, warm_start)`` as
+        :meth:`_compile_with_recovery` does; ``source`` is the cache tier
+        on a hit and ``"coalesced"`` for a follower, which shares its
+        leader's entry, error and label.
+        """
+        leader = False
+        with self._lock:
+            entry, tier = self.cache.get_with_tier(key)
+            if entry is not None:
+                self.metrics.count(f"hits_{tier}")
+            else:
+                flight = self._inflight.get(key)
+                if flight is None:
+                    flight = _InFlight()
+                    self._inflight[key] = flight
+                    leader = True
+
+        if entry is not None:
+            return entry, tier, None, WARM_EXACT
+
+        if not leader:
+            self.metrics.count("coalesced")
+            flight.done.wait()
+            return (
+                flight.entry, SOURCE_COALESCED, flight.error,
+                flight.warm_start,
+            )
+
         self.metrics.count("misses")
-        entry: Optional[Dict[str, Any]] = None
         source = SOURCE_COMPILED
         error: Optional[str] = None
         warm = WARM_COLD
@@ -499,26 +457,7 @@ class CompileService:
             with self._lock:
                 self._inflight.pop(key, None)
             flight.done.set()
-
-        if entry is None:
-            return ServedCompile(
-                request=request,
-                key=key,
-                result=None,
-                source=source,
-                seconds=time.perf_counter() - started,
-                error=error,
-                warm_start=warm,
-            )
-        result = self._decode_entry(entry, request.hardware)
-        return ServedCompile(
-            request=request,
-            key=key,
-            result=result,
-            source=source,
-            seconds=time.perf_counter() - started,
-            warm_start=warm,
-        )
+        return entry, source, error, warm
 
     # ------------------------------------------------------------------
     # warm-start path: shape index maintenance and neighbor hints
@@ -545,11 +484,7 @@ class CompileService:
             return None, None
 
     def _record_shape(self, request: CompileRequest, key: str) -> None:
-        """Index a freshly cached plan under its shape bucket.
-
-        Recorded even when ``warm_start`` is disabled, so flipping the
-        knob on later starts with full history rather than an empty index.
-        """
+        """Index a freshly cached plan under its shape bucket."""
         structure, extents = self._structure_of(request)
         if structure is not None and extents is not None:
             self.shape_index.record(structure, key, extents)
@@ -563,8 +498,6 @@ class CompileService:
         evicted since they were indexed) and returns hints from the first
         one whose entry still decodes into something usable.
         """
-        if not self.warm_start:
-            return None
         structure, extents = self._structure_of(request)
         if structure is None or extents is None:
             return None
@@ -696,44 +629,3 @@ class CompileService:
         entry: Dict[str, Any], hardware: HardwareSpec
     ) -> CompileResult:
         return decode_plan_entry(entry, hardware)
-
-    def _serve_entry(
-        self,
-        request: CompileRequest,
-        key: str,
-        entry: Dict[str, Any],
-        source: str,
-        started: float,
-        warm: str = WARM_EXACT,
-    ) -> ServedCompile:
-        try:
-            result = self._decode_entry(entry, request.hardware)
-        except PlanFormatError as exc:
-            # A cached-but-undecodable entry: evict and recompile once.
-            self.metrics.count("corrupt_entries")
-            self.cache.delete(key)
-            self.shape_index.forget(key)
-            if source in (SOURCE_MEMORY, SOURCE_DISK):
-                # The hit never produced a result: retract it, then re-enter
-                # the lookup without re-counting the request, so the
-                # recompile registers as the miss it really is instead of a
-                # phantom hit plus a double-counted request.
-                self.metrics.count(f"hits_{source}", -1)
-                return self._serve_keyed(request, key, started)
-            return ServedCompile(
-                request=request,
-                key=key,
-                result=None,
-                source=source,
-                seconds=time.perf_counter() - started,
-                error=str(exc),
-                warm_start=warm,
-            )
-        return ServedCompile(
-            request=request,
-            key=key,
-            result=result,
-            source=source,
-            seconds=time.perf_counter() - started,
-            warm_start=warm,
-        )

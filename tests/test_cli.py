@@ -95,12 +95,6 @@ class TestServiceCli:
         assert "orders enumerated" in out
         assert "pruned" in out and "memo hits" in out and "solves" in out
 
-    def test_search_stats_no_prune(self, capsys):
-        assert main(["search-stats", "G10", "--no-prune", "--no-memo"]) == 0
-        out = capsys.readouterr().out
-        assert "pruned 0" in out
-        assert "memo hits 0" in out
-
     def test_cache_stats_list_clear(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "plans")
         main(["compile-batch", "G10", "--cache-dir", cache_dir])

@@ -5,10 +5,11 @@ import pytest
 from repro.core.movement import MovementModel
 from repro.core.optimizer import ChimeraOptimizer
 from repro.core.reordering import candidate_models, count_orders
-from repro.core.search import SearchPolicy, search_tiles, solve_memo
+from repro.core.search import search_tiles, solve_memo
 from repro.hardware import a100, xeon_gold_6240
 from repro.ir.chains import batch_gemm_chain, conv_chain, gemm_chain
 from repro.sim import simulate_plan
+from tests.search_oracle import exhaustive_search_tiles
 
 
 class TestDeterminism:
@@ -52,18 +53,17 @@ class TestTieBreaking:
         # maps each order onto one with identical DV.
         chain = gemm_chain(256, 256, 256, 256)
         models = candidate_models(chain).models
-        solve_memo().clear()
-        model, solution = search_tiles(
-            models, 256 * 1024.0, policy=SearchPolicy.exhaustive()
-        )
+        model, solution = exhaustive_search_tiles(models, 256 * 1024.0)
         ties = [
             m.perm
             for m in models
-            if search_tiles([m], 256 * 1024.0,
-                            policy=SearchPolicy.exhaustive())[1].dv
+            if exhaustive_search_tiles([m], 256 * 1024.0)[1].dv
             == solution.dv
         ]
+        assert len(ties) > 1
         assert model.perm == min(ties)
+        solve_memo().clear()
+        assert search_tiles(models, 256 * 1024.0)[0].perm == min(ties)
 
     def test_representative_is_class_minimum(self):
         """Each signature class's representative must be the smallest order

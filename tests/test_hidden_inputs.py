@@ -1,9 +1,10 @@
 """Plans depend only on their arguments.
 
 The plan cache keys on the chain, the hardware and the optimizer config.
-Anything else that can move a plan — an environment variable above all —
-is a hidden input: a cache filled under one value serves its plans to
-requests made under another.  These tests pin that no such input exists.
+Anything else that can move a plan — an environment variable, or what
+the process compiled before — is a hidden input: a cache filled under
+one value serves its plans to requests made under another.  These tests
+pin that no such input exists.
 """
 
 import json
@@ -13,8 +14,10 @@ import re
 import pytest
 
 import repro
+from repro.core.reordering import candidate_models
+from repro.core.search import search_tiles, solve_memo
 from repro.hardware import mesh_npu_16
-from repro.ir.chains import batch_gemm_chain
+from repro.ir.chains import batch_gemm_chain, conv_chain
 from repro.runtime.pipeline import compile_chain
 from repro.service import CompileService
 from tests.test_search_equivalence import decision_json, paper_decision
@@ -60,3 +63,33 @@ def test_forced_width_is_refused_on_the_cached_path():
     chain = batch_gemm_chain(8, 256, 64, 64, 256, with_softmax=True)
     with pytest.raises(ValueError, match="cache key"):
         compile_chain(chain, mesh_npu_16(), service=CompileService(), cores=2)
+
+
+def test_hinted_search_does_not_answer_a_later_cold_one():
+    """A warm-started solve stays out of cold searches' memo entries.
+
+    From this hint the solver refines to another point of the DV-flat
+    ridge (415,744 B where the cold solve finds 411,648 B).  Stored under
+    the key a cold search reads, it would change what the same cold
+    search returns after a hinted one.
+    """
+    chain = conv_chain(1, 32, 28, 28, 32, 32, 1, 1, 1, 1)
+    (model,) = [
+        m for m in candidate_models(chain).models
+        if m.perm == ("oc1", "ic", "oh", "ow", "oc2")
+    ]
+    min_tiles = {
+        loop: min(8, extent) for loop, extent in chain.loop_extents().items()
+    }
+    hint = {"ic": 1, "n": 1, "oh": 23, "rh2": 1, "ow": 24, "rw2": 1,
+            "oc2": 4}
+    try:
+        solve_memo().clear()
+        cold = search_tiles([model], 16384.0, min_tiles=min_tiles)[1]
+        solve_memo().clear()
+        search_tiles([model], 16384.0, min_tiles=min_tiles, x0_hint=hint)
+        after = search_tiles([model], 16384.0, min_tiles=min_tiles)[1]
+    finally:
+        solve_memo().clear()
+    assert cold.dv == 411648.0
+    assert (after.tiles, after.dv) == (cold.tiles, cold.dv)

@@ -1,4 +1,4 @@
-"""Tests for the pruned/memoized/parallel order search layer."""
+"""Tests for the pruned, memoized order search layer."""
 
 import math
 import random
@@ -9,7 +9,6 @@ from repro.core.movement import MovementModel
 from repro.core.optimizer import ChimeraOptimizer
 from repro.core.reordering import candidate_models, producer_private_reductions
 from repro.core.search import (
-    SearchPolicy,
     SearchStats,
     SolveMemo,
     chain_digest,
@@ -24,6 +23,7 @@ from repro.core.search import (
 from repro.core.solver import solve_tiles
 from repro.hardware import ascend_910, xeon_gold_6240
 from repro.ir.chains import batch_gemm_chain, conv_chain, gemm_chain, mlp_chain
+from tests.search_oracle import exhaustive_search_tiles
 
 CAPACITY = 256 * 1024.0
 
@@ -45,14 +45,6 @@ def chain():
 @pytest.fixture
 def models(chain):
     return candidate_models(chain).models
-
-
-class TestPolicy:
-    def test_defaults(self):
-        policy = SearchPolicy()
-        assert policy.prune and policy.memoize
-        exhaustive = SearchPolicy.exhaustive()
-        assert not exhaustive.prune and not exhaustive.memoize
 
 
 class TestBounds:
@@ -126,6 +118,7 @@ class TestMemo:
             digest,
             model,
             CAPACITY,
+            hinted=False,
             min_tiles=None,
             quanta=None,
             max_parent=None,
@@ -164,63 +157,76 @@ class TestMemo:
         assert memo.get("a") == "A" and memo.get("c") == "C"
 
     def test_search_memo_hits_on_repeat(self, models):
-        policy = SearchPolicy(prune=False, memoize=True)
         stats_cold = SearchStats()
-        search_tiles(models, CAPACITY, policy=policy, stats=stats_cold)
+        search_tiles(models, CAPACITY, stats=stats_cold)
         stats_warm = SearchStats()
-        search_tiles(models, CAPACITY, policy=policy, stats=stats_warm)
-        assert stats_cold.solves == len(models)
+        search_tiles(models, CAPACITY, stats=stats_warm)
+        assert stats_cold.solves > 0 and stats_cold.memo_hits == 0
         assert stats_warm.solves == 0
-        assert stats_warm.memo_hits == len(models)
+        assert stats_warm.memo_hits == stats_cold.solves
+        assert stats_warm.pruned == stats_cold.pruned
 
     def test_constraints_without_token_disable_memo(self, models):
-        policy = SearchPolicy(prune=False, memoize=True)
         constraint = lambda tiles: -1.0  # noqa: E731 - unkeyable on purpose
+        solves = []
         for _ in range(2):
             stats = SearchStats()
             search_tiles(
                 models,
                 CAPACITY,
                 constraints=(constraint,),
-                policy=policy,
                 stats=stats,
             )
             assert stats.memo_hits == 0
-            assert stats.solves == len(models)
+            assert stats.solves + stats.pruned == len(models)
+            solves.append(stats.solves)
+        assert solves[0] == solves[1] > 0
+        assert len(solve_memo()) == 0
+
+    def test_hinted_solves_are_keyed_apart(self, models):
+        """A warm-started search neither reads nor fills cold entries."""
+        hint = {name: 4 for name in models[0].perm}
+        cold = SearchStats()
+        search_tiles(models, CAPACITY, stats=cold)
+        hinted = SearchStats()
+        search_tiles(models, CAPACITY, stats=hinted, x0_hint=hint)
+        assert hinted.memo_hits == 0 and hinted.solves > 0
+        again = SearchStats()
+        search_tiles(models, CAPACITY, stats=again, x0_hint=hint)
+        assert again.solves == 0 and again.memo_hits == hinted.solves
+        assert len(solve_memo()) == cold.solves + hinted.solves
 
 
 class TestStats:
     def test_counters_add_up(self, models):
         stats = SearchStats()
-        search_tiles(
-            models,
-            CAPACITY,
-            policy=SearchPolicy(prune=True, memoize=False),
-            stats=stats,
-        )
+        search_tiles(models, CAPACITY, stats=stats)
         assert stats.candidates == len(models)
         assert stats.bound_evals == len(models)
         assert stats.pruned + stats.solves + stats.memo_hits == len(models)
 
     def test_global_snapshot_accumulates(self, models):
-        search_tiles(models, CAPACITY, policy=SearchPolicy.exhaustive())
+        stats = SearchStats()
+        search_tiles(models, CAPACITY, stats=stats)
         snap = search_stats_snapshot()
         assert snap["searches"] == 1
-        assert snap["solves"] == len(models)
-        assert "memo" in snap
+        assert snap["solves"] == stats.solves > 0
+        assert snap["pruned"] == stats.pruned
+        assert snap["memo"]["entries"] == stats.solves
 
     def test_optimize_stats_surface(self, chain):
-        optimizer = ChimeraOptimizer(
-            xeon_gold_6240(),
-            policy=SearchPolicy(prune=True, memoize=True),
-        )
+        optimizer = ChimeraOptimizer(xeon_gold_6240())
         stats = SearchStats()
         optimizer.optimize(chain, stats=stats)
         assert stats.orders_enumerated > 0
         assert stats.solves + stats.memo_hits > 0
-        last = optimizer.last_stats
-        assert last.pruned == stats.pruned
-        assert last.memo_hits == stats.memo_hits
+        assert stats.searches == len(xeon_gold_6240().on_chip_levels)
+        assert (
+            stats.pruned + stats.solves + stats.memo_hits == stats.candidates
+        )
+        snap = search_stats_snapshot()
+        assert snap["orders_enumerated"] == stats.orders_enumerated
+        assert snap["pruned"] == stats.pruned
 
 
 class TestPruningExactness:
@@ -232,21 +238,18 @@ class TestPruningExactness:
         models = candidate_models(chain).models
         constraints = ChimeraOptimizer(hw).extra_constraints(chain)
         token = ChimeraOptimizer.constraints_token(constraints)
-        baseline = search_tiles(
+        baseline = exhaustive_search_tiles(
             models,
             capacity,
             constraints=constraints,
             constraints_token=token,
-            policy=SearchPolicy.exhaustive(),
         )
-        solve_memo().clear()
         stats = SearchStats()
         pruned = search_tiles(
             models,
             capacity,
             constraints=constraints,
             constraints_token=token,
-            policy=SearchPolicy(prune=True, memoize=True),
             stats=stats,
         )
         assert pruned[0].perm == baseline[0].perm
@@ -283,15 +286,22 @@ class TestWarmStartOrderHint:
 
     Seeded fuzz: for every chain, capacity (tight, medium, loose, and
     below MU at all-ones tiles), the NPU Unified Buffer constraint and an
-    inner-level search (parent bounds, hard minimums), a search hinted
-    with a random candidate's order, a shuffled loop tuple or foreign
-    names returns exactly what the unhinted search returns.
+    inner-level search (parent bounds, hard minimums), the default search
+    on a cold memo and again on the warm memo returns exactly what the
+    exhaustive oracle returns, and so does a search hinted with a random
+    candidate's order, a shuffled loop tuple or foreign names, each on a
+    cleared memo (a warm one would answer from the unhinted entries).
     """
 
-    POLICY = SearchPolicy(prune=True, memoize=False)
-
     def _assert_hint_free(self, models, capacity, rng, **kwargs):
-        cold = search_tiles(models, capacity, policy=self.POLICY, **kwargs)
+        oracle = _hint_outcome(
+            exhaustive_search_tiles(models, capacity, **kwargs)
+        )
+        solve_memo().clear()
+        cold = search_tiles(models, capacity, **kwargs)
+        assert _hint_outcome(cold) == oracle
+        warm = search_tiles(models, capacity, **kwargs)
+        assert _hint_outcome(warm) == oracle
         names = list(models[0].perm)
         hints = [
             rng.choice(models).perm,
@@ -299,11 +309,11 @@ class TestWarmStartOrderHint:
             ("foreign",) + tuple(names[1:]),
         ]
         for hint in hints:
+            solve_memo().clear()
             hinted = search_tiles(
-                models, capacity, policy=self.POLICY,
-                incumbent_hint=hint, **kwargs,
+                models, capacity, incumbent_hint=hint, **kwargs
             )
-            assert _hint_outcome(hinted) == _hint_outcome(cold), hint
+            assert _hint_outcome(hinted) == oracle, hint
         return cold
 
     @staticmethod

@@ -1,15 +1,16 @@
-"""Search-strategy equivalence: policy changes speed, never the plan.
+"""Search equivalence: pruning and memoization change speed, never the plan.
 
-Every (workload, hardware preset) pair is compiled under the exhaustive
-baseline and under pruning + memoization, and the serialized plans must
-match **byte for byte** — the guarantee that keeps the fast path on by
-default without revalidating results.
+Every (workload, hardware preset) pair is compiled through the exhaustive
+oracle (``tests/search_oracle.py``) and through the pruned, memoized
+search, and the serialized plans must match **byte for byte** — the
+guarantee that lets the optimizer always prune and memoize without
+revalidating results.
 
 Refactors of the optimizer must not move a plan either:
 ``test_plan_matches_golden`` pins the sha256 of every serialized plan in
 ``tests/data/golden_plans.json`` — GEMM + conv workloads on every preset
-under the default policy (the exhaustive policy is held to the same bytes
-by ``TestSearchEquivalence``), the multicore attention chain's fusion
+(the exhaustive oracle is held to the same bytes by
+``TestSearchEquivalence``), the multicore attention chain's fusion
 decision on each link preset, and (slow) Table IV/V workloads — as
 plans on every preset, and as the whole ``compile_chain`` fusion decision
 (unfused per-op plans and multi-core placement included) on the four
@@ -26,11 +27,12 @@ import pathlib
 import pytest
 
 from repro.core.optimizer import ChimeraOptimizer
-from repro.core.search import SearchPolicy, reset_search_stats, solve_memo
+from repro.core.search import reset_search_stats, solve_memo
 from repro.core.tables import clear_tables_memo
 from repro.hardware import all_presets, multicore_presets
 from repro.ir.chains import batch_gemm_chain, conv_chain
 from repro.runtime.serialization import plan_to_dict
+from tests.search_oracle import exhaustive_optimize
 
 PRESETS = all_presets() + multicore_presets()
 
@@ -46,12 +48,20 @@ def conv_workload():
 WORKLOADS = [gemm_workload, conv_workload]
 
 
-def serialized_plan(chain, hw, policy):
-    solve_memo().clear()
-    reset_search_stats()
-    clear_tables_memo()
-    plan = ChimeraOptimizer(hw, policy=policy).optimize(chain)
+def plan_json(plan):
     return json.dumps(plan_to_dict(plan), sort_keys=True)
+
+
+def serialized_plan(chain, hw):
+    """The default (pruned, memoized) plan from cold process memos."""
+    clear_global_memos()
+    return plan_json(ChimeraOptimizer(hw).optimize(chain))
+
+
+def oracle_plan(chain, hw):
+    """The exhaustive oracle's plan from cold process memos."""
+    clear_global_memos()
+    return plan_json(exhaustive_optimize(ChimeraOptimizer(hw), chain))
 
 
 @pytest.mark.parametrize("hw", PRESETS, ids=lambda h: h.name)
@@ -61,22 +71,15 @@ def serialized_plan(chain, hw, policy):
 class TestSearchEquivalence:
     def test_pruned_memoized_plan_is_byte_identical(self, build, hw):
         chain = build()
-        baseline = serialized_plan(chain, hw, SearchPolicy.exhaustive())
-        fast = serialized_plan(
-            chain, hw, SearchPolicy(prune=True, memoize=True)
-        )
-        assert fast == baseline
+        assert serialized_plan(chain, hw) == oracle_plan(chain, hw)
 
     def test_warm_memo_replays_identically(self, build, hw):
         chain = build()
-        policy = SearchPolicy(prune=True, memoize=True)
         solve_memo().clear()
         reset_search_stats()
-        optimizer = ChimeraOptimizer(hw, policy=policy)
-        cold = json.dumps(plan_to_dict(optimizer.optimize(chain)),
-                          sort_keys=True)
-        warm = json.dumps(plan_to_dict(optimizer.optimize(chain)),
-                          sort_keys=True)
+        optimizer = ChimeraOptimizer(hw)
+        cold = plan_json(optimizer.optimize(chain))
+        warm = plan_json(optimizer.optimize(chain))
         assert warm == cold
 
 
@@ -140,10 +143,10 @@ def paper_decision(chain, hw):
 def golden_cases():
     """``(case id, serializer, slow)`` for every pinned plan or decision.
 
-    The equivalence workloads on every preset under the default policy,
-    the multicore attention chain's fusion decision on each link preset,
-    and (slow) Table IV/V workloads on every preset, plus every plain
-    Table IV/V chain's fusion decision on :data:`DECISION_PRESETS`.
+    The equivalence workloads on every preset, the multicore attention
+    chain's fusion decision on each link preset, and (slow) Table IV/V
+    workloads on every preset, plus every plain Table IV/V chain's fusion
+    decision on :data:`DECISION_PRESETS`.
     """
     from repro.hardware import preset
     from repro.workloads import TABLE_IV, TABLE_V
@@ -153,7 +156,7 @@ def golden_cases():
         for hw in PRESETS:
             cases.append((
                 f"{label}-default-{hw.name}",
-                lambda b=build, h=hw: serialized_plan(b(), h, SearchPolicy()),
+                lambda b=build, h=hw: serialized_plan(b(), h),
                 False,
             ))
     for hw in multicore_presets():
@@ -166,9 +169,7 @@ def golden_cases():
         for hw in PRESETS:
             cases.append((
                 f"{name}-default-{hw.name}",
-                lambda n=name, h=hw: serialized_plan(
-                    paper_chain(n), h, SearchPolicy()
-                ),
+                lambda n=name, h=hw: serialized_plan(paper_chain(n), h),
                 True,
             ))
     for row in TABLE_IV + TABLE_V:
@@ -283,7 +284,7 @@ class TestWarmStartEquivalence:
         from repro.service import WARM_EXACT, WARM_NEAR, CompileService
 
         build_base, build_near = pair
-        warm_service = CompileService(warm_start=True)
+        warm_service = CompileService()
         clear_global_memos()
         seeded = warm_service.serve((build_base(), hw))
         assert seeded.warm_start == "cold"
@@ -300,9 +301,9 @@ class TestWarmStartEquivalence:
         assert exact.warm_start == WARM_EXACT
         assert canonical_decision(exact) == canonical_decision(near)
 
-        # Cold twin: a warm-start-disabled service compiling the same
-        # shape from scratch must land on the same bytes.
-        cold_service = CompileService(warm_start=False)
+        # Cold twin: a fresh service, which has not seen the base shape,
+        # compiling the same shape from scratch must land on the same bytes.
+        cold_service = CompileService()
         clear_global_memos()
         cold = cold_service.serve((build_near(), hw))
         assert cold.warm_start == "cold"
@@ -330,14 +331,10 @@ class TestWarmStartEquivalence:
         wrong_hint = plan_hint_from_dict(plan_to_dict(wrong_plan))
         assert wrong_hint is not None
 
-        baseline = serialized_plan(
-            chain, hw, SearchPolicy(prune=True, memoize=True)
-        )
+        baseline = serialized_plan(chain, hw)
         clear_global_memos()
-        hinted = ChimeraOptimizer(
-            hw, policy=SearchPolicy(prune=True, memoize=True)
-        ).optimize(chain, hint=wrong_hint)
-        assert json.dumps(plan_to_dict(hinted), sort_keys=True) == baseline
+        hinted = ChimeraOptimizer(hw).optimize(chain, hint=wrong_hint)
+        assert plan_json(hinted) == baseline
 
 
 if __name__ == "__main__":

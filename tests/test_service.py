@@ -760,7 +760,7 @@ class TestWarmStartService:
     def test_near_miss_is_labeled_and_counted(self):
         from repro.service import WARM_COLD, WARM_EXACT, WARM_NEAR
 
-        service = CompileService(warm_start=True)
+        service = CompileService()
         cold = service.serve(CompileRequest(self.base_chain(), HW))
         assert cold.warm_start == WARM_COLD
         near = service.serve(CompileRequest(self.near_chain(), HW))
@@ -773,40 +773,24 @@ class TestWarmStartService:
         assert stats["warm_near"] == 1
         assert stats["shape_index"]["entries"] == 2
         assert stats["shape_index"]["structures"] == 1
-        assert stats["shape_index"]["enabled"] is True
-
-    def test_disabled_warm_start_still_records_index(self):
-        from repro.service import WARM_COLD
-
-        service = CompileService(warm_start=False)
-        service.serve(CompileRequest(self.base_chain(), HW))
-        near = service.serve(CompileRequest(self.near_chain(), HW))
-        assert near.warm_start == WARM_COLD
-        stats = service.stats()
-        assert stats.get("warm_near", 0) == 0
-        # Recording continues so flipping the knob on later has history.
-        assert stats["shape_index"]["entries"] == 2
-        assert stats["shape_index"]["enabled"] is False
 
     def test_index_persists_across_service_restart(self, tmp_path):
         from repro.service import WARM_NEAR
 
-        first = CompileService(cache_dir=tmp_path, warm_start=True)
+        first = CompileService(cache_dir=tmp_path)
         first.serve(CompileRequest(self.base_chain(), HW))
         assert (tmp_path / "shape-index.jsonl").exists()
 
-        second = CompileService(cache_dir=tmp_path, warm_start=True)
+        second = CompileService(cache_dir=tmp_path)
         assert len(second.shape_index) == 1
         near = second.serve(CompileRequest(self.near_chain(), HW))
         assert near.warm_start == WARM_NEAR
 
     def test_near_plan_matches_cold_plan(self):
-        warm = CompileService(warm_start=True)
+        warm = CompileService()
         warm.serve(CompileRequest(self.base_chain(), HW))
         near = warm.serve(CompileRequest(self.near_chain(), HW))
-        cold = CompileService(warm_start=False).serve(
-            CompileRequest(self.near_chain(), HW)
-        )
+        cold = CompileService().serve(CompileRequest(self.near_chain(), HW))
 
         def canonical(served):
             from repro.runtime.serialization import plan_to_dict
@@ -826,7 +810,7 @@ class TestWarmStartService:
         assert canonical(near) == canonical(cold)
 
     def test_full_clear_drops_index(self, tmp_path):
-        service = CompileService(cache_dir=tmp_path, warm_start=True)
+        service = CompileService(cache_dir=tmp_path)
         service.serve(CompileRequest(self.base_chain(), HW))
         assert len(service.shape_index) == 1
         service.clear_cache()
@@ -840,7 +824,7 @@ class TestWarmStartService:
     def test_raw_path_reports_warm_labels(self):
         from repro.service import WARM_EXACT, WARM_NEAR
 
-        service = CompileService(warm_start=True)
+        service = CompileService()
         service.serve_raw(CompileRequest(self.base_chain(), HW))
         near = service.serve_raw(CompileRequest(self.near_chain(), HW))
         assert near.warm_start == WARM_NEAR
@@ -850,7 +834,7 @@ class TestWarmStartService:
     def test_different_structure_never_hints(self):
         from repro.service import WARM_COLD
 
-        service = CompileService(warm_start=True)
+        service = CompileService()
         service.serve(CompileRequest(self.base_chain(), HW))
         other = service.serve(CompileRequest(small_conv(), HW))
         assert other.warm_start == WARM_COLD
