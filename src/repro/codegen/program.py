@@ -167,49 +167,57 @@ def _build_level(
     chain: OperatorChain,
     levels: Sequence[LevelSpec],
     level_idx: int,
-    ops: Tuple[OperatorSpec, ...],
+    op_pos: Mapping[str, int],
+    active: Tuple[OperatorSpec, ...],
+    remaining: Tuple[str, ...],
 ) -> Node:
-    """Distribution tree for one level, recursing into the next inside."""
-    level = levels[level_idx]
-    op_pos = {op.name: i for i, op in enumerate(chain.ops)}
+    """Distribution tree of ``active`` ops over one level's ``remaining``
+    loops, recursing into the next level inside.
 
-    def build(active: Tuple[OperatorSpec, ...], remaining: Tuple[str, ...]) -> Node:
-        if not active:
-            return SeqNode(())
-        if not remaining:
-            if level_idx + 1 < len(levels):
-                return _build_level(chain, levels, level_idx + 1, active)
-            return SeqNode(tuple(BodyNode(op) for op in active))
-        loop, rest = remaining[0], remaining[1:]
-        using = tuple(op for op in active if op.has_loop(loop))
-        if not using:
-            return build(active, rest)
-        first_user = min(op_pos[op.name] for op in using)
-        last_user = max(op_pos[op.name] for op in using)
-        before = tuple(
-            op
-            for op in active
-            if not op.has_loop(loop) and op_pos[op.name] < first_user
-        )
-        after = tuple(
-            op
-            for op in active
-            if not op.has_loop(loop) and op_pos[op.name] > first_user
-        )
-        if any(op_pos[op.name] < last_user for op in after):
-            raise ValueError(f"operator interleaving conflict on loop {loop!r}")
-        tile = level.tiles.get(loop, 1)
-        parts: List[Node] = []
-        if before:
-            parts.append(build(before, rest))
-        parts.append(LoopNode(loop, tile, build(using, rest)))
-        if after:
-            parts.append(build(after, rest))
-        if len(parts) == 1:
-            return parts[0]
-        return SeqNode(tuple(parts))
+    A module-level recursion rather than a closure calling itself: such a
+    closure is a reference cycle, left for the cyclic GC on every lowering.
+    """
+    if not active:
+        return SeqNode(())
+    if not remaining:
+        if level_idx + 1 < len(levels):
+            inner = levels[level_idx + 1]
+            return _build_level(
+                chain, levels, level_idx + 1, op_pos, active, tuple(inner.order)
+            )
+        return SeqNode(tuple(BodyNode(op) for op in active))
+    loop, rest = remaining[0], remaining[1:]
 
-    return build(ops, tuple(level.order))
+    def build(ops: Tuple[OperatorSpec, ...]) -> Node:
+        return _build_level(chain, levels, level_idx, op_pos, ops, rest)
+
+    using = tuple(op for op in active if op.has_loop(loop))
+    if not using:
+        return build(active)
+    first_user = min(op_pos[op.name] for op in using)
+    last_user = max(op_pos[op.name] for op in using)
+    before = tuple(
+        op
+        for op in active
+        if not op.has_loop(loop) and op_pos[op.name] < first_user
+    )
+    after = tuple(
+        op
+        for op in active
+        if not op.has_loop(loop) and op_pos[op.name] > first_user
+    )
+    if any(op_pos[op.name] < last_user for op in after):
+        raise ValueError(f"operator interleaving conflict on loop {loop!r}")
+    tile = levels[level_idx].tiles.get(loop, 1)
+    parts: List[Node] = []
+    if before:
+        parts.append(build(before))
+    parts.append(LoopNode(loop, tile, build(using)))
+    if after:
+        parts.append(build(after))
+    if len(parts) == 1:
+        return parts[0]
+    return SeqNode(tuple(parts))
 
 
 def lower_levels(
@@ -227,7 +235,10 @@ def lower_levels(
         unknown = set(level.order) - set(extents)
         if unknown:
             raise ValueError(f"order references unknown loops {sorted(unknown)}")
-    root = _build_level(chain, tuple(levels), 0, chain.ops)
+    op_pos = {op.name: i for i, op in enumerate(chain.ops)}
+    root = _build_level(
+        chain, tuple(levels), 0, op_pos, chain.ops, tuple(levels[0].order)
+    )
     return BlockProgram(chain=chain, levels=tuple(levels), root=root)
 
 

@@ -157,9 +157,13 @@ class OpBlockTable:
 class CompiledSchedule:
     """A flattened block program: numpy tables plus the execution order.
 
+    The schedule keeps the program's chain but not the program itself:
+    :func:`compile_schedule` caches the schedule on the program, and a
+    back-reference would make the pair (with the schedule's tables and
+    cache) a reference cycle that only a cyclic GC pass frees.
+
     Attributes:
-        program: the source block program.
-        chain: the program's chain.
+        chain: the source program's chain.
         shapes: virtual (padded) shape per tensor — the clamp bounds.
         tables: one :class:`OpBlockTable` per operator, in chain order.
         block_table: ``(n_blocks,)`` table index of each global block.
@@ -178,7 +182,6 @@ class CompiledSchedule:
         block_row: np.ndarray,
         digest: str,
     ) -> None:
-        self.program = program
         self.chain = program.chain
         self.shapes = shapes
         self.tables = tables

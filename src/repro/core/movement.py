@@ -148,12 +148,13 @@ def spill_round_trip_bytes(nbytes: int, readers: int) -> int:
 class _ChainPrep:
     """Per-chain invariants shared by every ``MovementModel`` over the chain.
 
-    Enumerating block orders builds one model per permutation, but almost
-    everything Algorithm 1 consults — loop extents, IO classification,
-    which loops each operator and access touch, loop privacy, the
-    producer/consumer divergence sets of each intermediate — depends only
-    on the chain.  Hoisting those into one memoized prep turns per-model
-    construction into pure set membership tests over the permutation.
+    Almost everything Algorithm 1 consults — loop extents, IO
+    classification, which loops each operator and access touch, loop
+    privacy, the producer/consumer divergence sets of each intermediate —
+    depends only on the chain.  Hoisting those into one memoized prep turns
+    per-model construction into pure set membership tests over the
+    permutation, and gives the chain's signature tables
+    (:class:`repro.core.tables.SignatureTables`) the same term order.
 
     ``ops`` holds one ``(op_name, loop_set, accesses)`` triple per operator
     (chain order), where ``accesses`` lists
@@ -400,9 +401,8 @@ class MovementModel:
         tensor and the dtype byte count — into a per-access tuple
         ``(access, elem_bytes, overlay)`` where ``overlay`` lists the
         ``(loop, extent)`` pairs an intermediate's distribution buffer pins
-        at full extent.  Built lazily on first use: order enumeration
-        constructs thousands of models that are only signature-deduped and
-        never evaluate MU.
+        at full extent.  Built lazily on first use: a model whose solve
+        hits the memo never evaluates MU.
         """
         plan = self._usage_plan_cache
         if plan is None:

@@ -34,7 +34,6 @@ from .search import (
     search_tiles,
 )
 from .solver import ConstraintFn
-from .tables import movement_tables
 from .warmstart import PlanHint
 
 
@@ -252,20 +251,21 @@ class ChimeraOptimizer:
                 reuse_intermediates=outermost,
             )
             search_stats.orders_enumerated += space.enumerated
-            unique = max(unique, len(space.models))
+            unique = max(unique, len(space))
             total_orders = max(total_orders, space.total)
             # Hardware LRU levels cannot pin enlarged intermediate
             # buffers (they thrash); only software-managed scratchpads
             # may hold them (persistent-kernel style).
-            candidates = [
-                model
-                for model in space.models
-                if level.software_managed or not model.has_enlarged_buffers
-            ] or list(space.models)
-            ranked = self._probe_rank(
-                candidates, level_min_tiles, capacity, parent_tiles
+            ranked = space.ranked(
+                _probe_point(chain, level_min_tiles, capacity, parent_tiles),
+                capacity,
+                allow_enlarged=level.software_managed,
             )
-            top = ranked[: max(1, self.config.top_candidates)]
+            # Only the orders the search keeps become movement models.
+            top = [
+                space.model(index)
+                for index in ranked[: max(1, self.config.top_candidates)]
+            ]
             level_hint = hint.level(level.name) if hint is not None else None
             model, solution = search_tiles(
                 top,
@@ -335,54 +335,6 @@ class ChimeraOptimizer:
                 minimums[name] = min(value, extents[name])
         return minimums
 
-    def _probe_rank(
-        self,
-        models: Sequence[MovementModel],
-        min_tiles: Mapping[str, int],
-        capacity: float,
-        parent_tiles: Optional[Mapping[str, int]],
-    ) -> List[MovementModel]:
-        """Rank candidate orders by a cheap probe at one memory level.
-
-        The probe assigns every loop the same balanced tile (the square root
-        of the per-loop share of capacity, clipped to bounds), which ranks
-        orders by their multiplier structure without running the solver
-        ``O(signatures)`` times.  Orders whose loop-distribution buffers
-        alone exceed capacity at the probe point sort last (they would force
-        tiny tiles or be infeasible).
-        """
-        if len(models) <= 1:
-            return list(models)
-        chain = models[0].chain
-        extents = chain.loop_extents()
-        elem_bytes = max(
-            spec.dtype.nbytes for spec in chain.tensors.values()
-        )
-        # Budget capacity across the largest operator's tensor tiles,
-        # assuming square-ish 2D tiles: side ~ sqrt(capacity / (3 * bytes)).
-        side = max(2.0, math.sqrt(capacity / (3.0 * elem_bytes)))
-        parent = parent_tiles or {}
-        probe = {}
-        for name in extents:
-            bound = min(extents[name], parent.get(name, extents[name]))
-            probe[name] = float(max(min(min_tiles.get(name, 1), bound),
-                                    min(bound, side)))
-        # Ties break on the canonical order tuple, not the enumeration
-        # index: the index shifts under ``max_orders`` stride sampling.
-        row = movement_tables(models[0]).row_of(probe)
-        scored = [
-            (
-                0 if tables.usage_row(row) <= capacity else 1,
-                tables.volume_row(row, exact=False),
-                model.perm,
-                model,
-            )
-            for model in models
-            for tables in (movement_tables(model),)
-        ]
-        scored.sort(key=lambda item: (item[0], item[1], item[2]))
-        return [model for _, _, _, model in scored]
-
     def extra_constraints(self, chain: OperatorChain) -> Tuple[ConstraintFn, ...]:
         """Hardware-specific feasibility constraints.
 
@@ -420,3 +372,33 @@ class ChimeraOptimizer:
                 return None
             tokens.append(token())
         return tuple(tokens)
+
+
+def _probe_point(
+    chain: OperatorChain,
+    min_tiles: Mapping[str, int],
+    capacity: float,
+    parent_tiles: Optional[Mapping[str, int]],
+) -> Dict[str, float]:
+    """The tile point that ranks candidate orders at one memory level.
+
+    The probe assigns every loop the same balanced tile (the square root
+    of the per-loop share of capacity, clipped to bounds), which ranks
+    orders by their multiplier structure without running the solver
+    ``O(signatures)`` times (see :meth:`OrderSpace.ranked
+    <repro.core.reordering.OrderSpace.ranked>`).  Orders whose
+    loop-distribution buffers alone exceed capacity at this point sort
+    last (they would force tiny tiles or be infeasible).
+    """
+    extents = chain.loop_extents()
+    elem_bytes = max(spec.dtype.nbytes for spec in chain.tensors.values())
+    # Budget capacity across the largest operator's tensor tiles,
+    # assuming square-ish 2D tiles: side ~ sqrt(capacity / (3 * bytes)).
+    side = max(2.0, math.sqrt(capacity / (3.0 * elem_bytes)))
+    parent = parent_tiles or {}
+    probe = {}
+    for name in extents:
+        bound = min(extents[name], parent.get(name, extents[name]))
+        probe[name] = float(max(min(min_tiles.get(name, 1), bound),
+                                min(bound, side)))
+    return probe

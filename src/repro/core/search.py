@@ -57,7 +57,7 @@ import numpy as np
 from ..ir.chain import OperatorChain
 from .movement import MovementModel
 from .solver import ConstraintFn, TileSolution, solve_tiles
-from .tables import TablesEvaluator, movement_tables, tables_memo_stats
+from .tables import SignatureTables, compile_constraint, tables_memo_stats
 
 
 @dataclasses.dataclass
@@ -123,6 +123,91 @@ def chain_digest(chain: OperatorChain) -> str:
     return hashlib.sha256(pickle.dumps(chain)).hexdigest()
 
 
+def _bound_tiles(
+    models: Sequence[MovementModel],
+    capacity: float,
+    constraints: Sequence[ConstraintFn],
+    max_parent: Optional[Mapping[str, int]],
+) -> Tuple[SignatureTables, np.ndarray, np.ndarray, np.ndarray]:
+    """Capacity-relaxed maximum tiles of equally long orders of one chain,
+    in one pass.
+
+    Returns ``(tables, rows, feasible, tiles)``: the chain's signature
+    tables, each model's signature row, whether all-ones tiles fit it,
+    and one full-universe tile row per model holding each of its loops at
+    its bound (every other loop at 1).
+
+    Every (model, loop) pair runs its own binary search (invariant: ``lo``
+    fits, ``hi`` does not), all in lockstep: each bisection step is one MU
+    batch whose rows carry their model's buffer overlay, plus one batch
+    of each compiled constraint.  A constraint that does not compile is
+    called per row with the model's loops, as the scalar fallback.
+    """
+    chain = models[0].chain
+    tables = SignatureTables(chain, models[0].reuse_intermediates)
+    width = len(tables.loop_names)
+    rows = tables.rows_of(
+        np.array(
+            [[tables.index[name] for name in model.perm] for model in models],
+            dtype=np.int64,
+        ).reshape(len(models), -1)
+    )
+    compiled = [
+        compile_constraint(chain, tables.index, fn) for fn in constraints
+    ]
+
+    def fits(owner: np.ndarray, tiles: np.ndarray) -> np.ndarray:
+        ok = np.ones(owner.size, dtype=bool)
+        for fn, table in zip(constraints, compiled):
+            if table is not None:
+                ok &= table.batch(tiles) <= 0
+                continue
+            for r in range(owner.size):
+                perm = models[owner[r]].perm
+                if ok[r] and fn(
+                    {n: float(tiles[r, tables.index[n]]) for n in perm}
+                ) > 0:
+                    ok[r] = False
+        return (tables.usage(rows[owner], tiles) <= capacity) & ok
+
+    feasible = fits(np.arange(len(models)), np.ones((len(models), width)))
+    parent = max_parent or {}
+    owner_list: List[int] = []
+    col_list: List[int] = []
+    hi_list: List[int] = []
+    for k in np.flatnonzero(feasible).tolist():
+        for name in models[k].perm:
+            col = tables.index[name]
+            extent = tables.extents[col]
+            owner_list.append(k)
+            col_list.append(col)
+            hi_list.append(max(1, min(extent, parent.get(name, extent))))
+    owner = np.array(owner_list, dtype=np.intp)
+    cols = np.array(col_list, dtype=np.intp)
+    hi = np.array(hi_list, dtype=np.int64)
+
+    def fits_at(pairs: np.ndarray, values: np.ndarray) -> np.ndarray:
+        tiles = np.ones((pairs.size, width))
+        tiles[np.arange(pairs.size), cols[pairs]] = values.astype(float)
+        return fits(owner[pairs], tiles)
+
+    fit_hi = fits_at(np.arange(owner.size), hi)
+    lo = np.ones(owner.size, dtype=np.int64)
+    hi_search = hi.copy()
+    active = ~fit_hi
+    while True:
+        work = np.nonzero(active & (hi_search - lo > 1))[0]
+        if not work.size:
+            break
+        mids = (lo[work] + hi_search[work]) // 2
+        fit_mid = fits_at(work, mids)
+        lo[work] = np.where(fit_mid, mids, lo[work])
+        hi_search[work] = np.where(fit_mid, hi_search[work], mids)
+    tiles = np.ones((len(models), width))
+    tiles[owner, cols] = np.where(fit_hi, hi, lo)
+    return tables, rows, feasible, tiles
+
+
 def upper_tile_bounds(
     model: MovementModel,
     capacity: float,
@@ -138,51 +223,14 @@ def upper_tile_bounds(
     ``T``, ``T_l`` cannot exceed this per-loop bound — the bounds form a
     box relaxation of the feasible region.  ``None`` means even all-ones
     tiles violate a constraint: no feasible assignment exists at all.
-
-    The per-loop binary searches are independent, so they run in
-    lockstep: every bisection step probes all still-active loops with one
-    ``(N, L)`` MU batch (invariant: ``lo`` fits, ``hi`` does not).
+    This is the one-model case of the pass :func:`dv_lower_bounds` runs.
     """
-    extents = model.chain.loop_extents()
-    parent = max_parent or {}
-    names = list(model.perm)
-    width = len(names)
-    evaluator = TablesEvaluator(model, names, constraints)
-
-    def fits(values: np.ndarray) -> np.ndarray:
-        return (
-            evaluator.usage_batch(values) <= capacity
-        ) & evaluator.constraints_ok_batch(values)
-
-    if not bool(fits(np.ones((1, width)))[0]):
-        return None
-    hi = np.array(
-        [
-            max(1, min(extents[n], parent.get(n, extents[n])))
-            for n in names
-        ],
-        dtype=np.int64,
+    tables, _, feasible, tiles = _bound_tiles(
+        [model], capacity, constraints, max_parent
     )
-    probes = np.ones((width, width))
-    probes[np.arange(width), np.arange(width)] = hi.astype(float)
-    fit_hi = fits(probes)
-    lo = np.ones(width, dtype=np.int64)
-    hi_search = hi.copy()
-    active = ~fit_hi
-    while True:
-        work = np.nonzero(active & (hi_search - lo > 1))[0]
-        if not work.size:
-            break
-        mids = (lo[work] + hi_search[work]) // 2
-        rows = np.ones((work.size, width))
-        rows[np.arange(work.size), work] = mids.astype(float)
-        fit_mid = fits(rows)
-        lo[work] = np.where(fit_mid, mids, lo[work])
-        hi_search[work] = np.where(fit_mid, hi_search[work], mids)
-    return {
-        name: int(hi[i]) if fit_hi[i] else int(lo[i])
-        for i, name in enumerate(names)
-    }
+    if not feasible[0]:
+        return None
+    return {name: int(tiles[0, tables.index[name]]) for name in model.perm}
 
 
 def dv_lower_bound(
@@ -201,11 +249,7 @@ def dv_lower_bound(
     order admits no feasible tiles — such candidates only lose to a
     feasible incumbent, so pruning them is exact as well.
     """
-    bounds = upper_tile_bounds(model, capacity, constraints, max_parent)
-    if bounds is None:
-        return math.inf
-    tables = movement_tables(model)
-    return tables.volume_row(tables.row_of(bounds))
+    return dv_lower_bounds([model], capacity, constraints, max_parent)[0]
 
 
 def dv_lower_bounds(
@@ -216,13 +260,27 @@ def dv_lower_bounds(
 ) -> List[float]:
     """:func:`dv_lower_bound` across candidate orders (the pruning pass).
 
-    Every order's bound runs its bisections batched, so the whole pass
-    costs a handful of numpy evaluations per order.
+    The orders of each chain (and reuse flag and order length) are
+    bounded together: one lockstep bisection over every (order, loop)
+    pair, then one batch of exact DVs at the bounds from the orders'
+    signature rows.  No order compiles movement
+    tables here, so a pruned candidate never compiles any.
     """
-    return [
-        dv_lower_bound(model, capacity, constraints, max_parent)
-        for model in models
-    ]
+    bounds = [math.inf] * len(models)
+    groups: Dict[Tuple[int, bool, int], List[int]] = {}
+    for position, model in enumerate(models):
+        key = (id(model.chain), model.reuse_intermediates, len(model.perm))
+        groups.setdefault(key, []).append(position)
+    for positions in groups.values():
+        group = [models[position] for position in positions]
+        tables, rows, feasible, tiles = _bound_tiles(
+            group, capacity, constraints, max_parent
+        )
+        volumes = tables.volume(rows, tiles, exact=True)
+        for position, fit, volume in zip(positions, feasible, volumes):
+            if fit:
+                bounds[position] = float(volume)
+    return bounds
 
 
 # ----------------------------------------------------------------------

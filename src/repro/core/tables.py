@@ -6,7 +6,10 @@ This module is how the optimizer evaluates Algorithm 1.  A
 coefficient) entries plus numpy-ready column indices — which evaluates
 the same formulas either for a single tile vector (the solver's hot
 path) or for an ``(N, L)`` candidate matrix in a handful of numpy calls
-(the integer-refinement lattice, the per-order bound probes).
+(the integer-refinement lattice and canonical-descent grids).
+:class:`SignatureTables` evaluates the same formulas for many *orders*
+of one chain at once, from their signature rows (the order search's
+dedupe, rank probe and pruning bounds).
 
 **Bit-for-bit contract.**  The tables return *exactly* the floats
 :class:`MovementModel` returns, for values and gradients alike, so the
@@ -56,7 +59,8 @@ from typing import (
 
 import numpy as np
 
-from .movement import MovementModel
+from ..ir.chain import OperatorChain
+from .movement import MovementModel, _chain_prep
 
 # ----------------------------------------------------------------------
 # compiled tables
@@ -467,35 +471,263 @@ class MovementTables:
         """``capacity - MU`` per row (the solver's feasibility margin)."""
         return capacity - self.usage_batch(rows)
 
-    # -- constraint compilation ----------------------------------------
-    def compile_constraint(self, fn: Any) -> Optional[_ConstraintTable]:
-        """Compile an access-group constraint (e.g. the NPU Unified Buffer
-        bound) into batched form, or ``None`` when ``fn`` is not of that
-        shape — callers then fall back to the scalar callable, which keeps
-        arbitrary :data:`~repro.core.solver.ConstraintFn` objects working.
-        """
-        accesses = getattr(fn, "accesses", None)
-        capacity = getattr(fn, "capacity", None)
-        chain = getattr(fn, "chain", None)
-        if accesses is None or capacity is None or chain is not self.chain:
-            return None
-        tables: List[_AccessTable] = []
-        try:
-            for access in accesses:
+
+def compile_constraint(
+    chain: OperatorChain, index: Mapping[str, int], fn: Any
+) -> Optional[_ConstraintTable]:
+    """Compile an access-group constraint (e.g. the NPU Unified Buffer
+    bound) over the loop columns ``index`` of ``chain``, or ``None`` when
+    ``fn`` is not of that shape — callers then fall back to the scalar
+    callable, which keeps arbitrary
+    :data:`~repro.core.solver.ConstraintFn` objects working.
+    """
+    accesses = getattr(fn, "accesses", None)
+    capacity = getattr(fn, "capacity", None)
+    if accesses is None or capacity is None:
+        return None
+    if getattr(fn, "chain", None) is not chain:
+        return None
+    tables: List[_AccessTable] = []
+    try:
+        for access in accesses:
+            dims = tuple(
+                tuple((index[name], float(coeff)) for name, coeff in dim.terms)
+                for dim in access.dims
+            )
+            elem_bytes = float(chain.tensors[access.tensor].dtype.nbytes)
+            tables.append(_AccessTable(elem_bytes, dims))
+    except (KeyError, AttributeError):
+        return None
+    return _ConstraintTable(tuple(tables), float(capacity))
+
+
+# ----------------------------------------------------------------------
+# signature rows: many orders of one chain at once
+# ----------------------------------------------------------------------
+class SignatureTables:
+    """Algorithm 1 over *signature rows*, for many block orders at once.
+
+    An order influences DV and MU only through its
+    :attr:`~repro.core.movement.MovementModel.signature`: each IO term's
+    multiplier-loop set and each intermediate's full-extent buffer-loop
+    set.  This per-chain loop table encodes those sets as bitmasks over the
+    loop universe (``chain.loop_extents()`` order, bit ``1 << column``), so
+    one order's signature is one integer row — the term masks in
+    ``_chain_prep(chain).ops`` x accesses order, then (when intermediates
+    are reused) one buffer mask per ``chain.intermediate_tensors()`` entry.
+    Two orders have equal rows exactly when their models have equal
+    signatures, so deduping, filtering, ranking and bounding orders run as
+    numpy passes over rows instead of one model and one tables compile per
+    order.
+
+    The evaluators replay :class:`MovementTables`' operation sequence row
+    by row — multipliers in sorted loop-name order (``MovementTerm``
+    stores them sorted), a pinned buffer loop as the constant addend
+    ``float(coeff * (extent - 1))`` — choosing per row with ``np.where``,
+    which runs the same IEEE operation on every row.  They return exactly
+    the floats each order's compiled tables return.
+    """
+
+    def __init__(self, chain: OperatorChain, reuse_intermediates: bool) -> None:
+        prep = _chain_prep(chain)
+        self.reuse_intermediates = reuse_intermediates
+        self.loop_names: Tuple[str, ...] = tuple(prep.extents)
+        if len(self.loop_names) > 63:
+            raise ValueError(
+                f"signature rows cover at most 63 loops, chain "
+                f"{chain.name!r} has {len(self.loop_names)}"
+            )
+        self.index: Dict[str, int] = {
+            name: col for col, name in enumerate(self.loop_names)
+        }
+        self.extents: Tuple[int, ...] = tuple(prep.extents.values())
+        self._bit = {name: 1 << col for name, col in self.index.items()}
+        self._bits = np.array(list(self._bit.values()), dtype=np.int64)
+        nondegenerate = 0
+        for col, extent in enumerate(self.extents):
+            if extent > 1:
+                nondegenerate |= 1 << col
+        self._nondegenerate = nondegenerate
+        io_set = prep.io_set if reuse_intermediates else prep.io_set_noreuse
+        buffered = prep.intermediates if reuse_intermediates else ()
+        slot_of = {tensor: slot for slot, tensor in enumerate(buffered)}
+
+        # terms: (elem_bytes, used cols, op mask, mults, dims) per IO access
+        terms = []
+        usage_ops = []
+        for _, op_loops, accesses in prep.ops:
+            op_cols = sorted(self.index[name] for name in op_loops)
+            op_mask = sum(1 << col for col in op_cols)
+            mults = tuple(
+                (col, self.extents[col], 1 << col)
+                for col in sorted(op_cols, key=lambda c: self.loop_names[c])
+            )
+            entries = []
+            for access, elem_bytes, used_loops in accesses:
+                # per dim: (column, coeff, bit, addend when pinned)
                 dims = tuple(
                     tuple(
-                        (self.index[name], float(coeff))
+                        (
+                            self.index[name],
+                            float(coeff),
+                            self._bit[name],
+                            float(coeff * (prep.extents[name] - 1)),
+                        )
                         for name, coeff in dim.terms
                     )
                     for dim in access.dims
                 )
-                elem_bytes = float(
-                    self.chain.tensors[access.tensor].dtype.nbytes
+                if access.tensor in io_set:
+                    used = tuple(
+                        self.index[name] for name in used_loops & op_loops
+                    )
+                    terms.append(
+                        (float(elem_bytes), used, op_mask, mults, dims)
+                    )
+                entries.append(
+                    (float(elem_bytes), dims, slot_of.get(access.tensor, -1))
                 )
-                tables.append(_AccessTable(elem_bytes, dims))
-        except (KeyError, AttributeError):
-            return None
-        return _ConstraintTable(tuple(tables), float(capacity))
+            usage_ops.append(tuple(entries))
+        self._terms = tuple(terms)
+        self._usage_ops = tuple(usage_ops)
+        # buffers: (tensor, divergence cols, loops the producer write uses)
+        buffers = []
+        for tensor in buffered:
+            split = frozenset().union(*prep.divergence_sets[tensor])
+            write = chain.producers_of(tensor)[0].access_of(tensor)
+            write_mask = sum(
+                1 << col
+                for col, name in enumerate(self.loop_names)
+                if write.uses(name)
+            )
+            buffers.append(
+                (tensor, tuple(self.index[name] for name in split), write_mask)
+            )
+        self._buffers = tuple(buffers)
+        self._width = len(self._terms) + len(self._buffers)
+
+    # -- rows ------------------------------------------------------------
+    def rows_of(self, orders: np.ndarray) -> np.ndarray:
+        """``(N, width)`` signature rows of an ``(N, L)`` order matrix.
+
+        ``orders`` holds loop columns, outermost first.  A term's mask is
+        the op's loops at or outside the innermost position of any loop
+        the access uses (empty when it uses none of the order's loops); an
+        intermediate's buffer mask is the order's loops at or after the
+        earliest position of any loop of its divergence sets.
+        """
+        count, length = orders.shape
+        rows = np.zeros((count, self._width), dtype=np.int64)
+        if not length:
+            return rows
+        every_row = np.arange(count)[:, None]
+        position = np.full((count, len(self.loop_names)), -1, dtype=np.int64)
+        position[every_row, orders] = np.arange(length)
+        prefix = np.bitwise_or.accumulate(self._bits[orders], axis=1)
+        every_row = every_row[:, 0]
+        for i, (_, used, op_mask, _, _) in enumerate(self._terms):
+            if not used:
+                continue
+            innermost = position[:, used[0]]
+            for col in used[1:]:
+                innermost = np.maximum(innermost, position[:, col])
+            reached = prefix[every_row, np.maximum(innermost, 0)]
+            rows[:, i] = np.where(innermost >= 0, reached & op_mask, 0)
+        for slot, (_, split, _) in enumerate(self._buffers):
+            if not split:
+                continue
+            earliest = np.full(count, length, dtype=np.int64)
+            for col in split:
+                at = position[:, col]
+                earliest = np.where(at >= 0, np.minimum(earliest, at), earliest)
+            above = np.where(
+                earliest > 0, prefix[every_row, np.maximum(earliest - 1, 0)], 0
+            )
+            rows[:, len(self._terms) + slot] = (
+                prefix[:, -1] & ~above & self._nondegenerate
+            )
+        return rows
+
+    def enlarged(self, rows: np.ndarray) -> np.ndarray:
+        """:attr:`MovementModel.has_enlarged_buffers` per signature row."""
+        out = np.zeros(rows.shape[0], dtype=bool)
+        for slot, (_, _, write_mask) in enumerate(self._buffers):
+            out |= (rows[:, len(self._terms) + slot] & write_mask) != 0
+        return out
+
+    # -- batched evaluation (one tile row per signature row) -------------
+    def volume(
+        self, rows: np.ndarray, tiles: np.ndarray, *, exact: bool = True
+    ) -> np.ndarray:
+        """DV of signature row ``i`` at tile row ``tiles[i]`` (as
+        :meth:`MovementTables.volume_row`)."""
+        count = rows.shape[0]
+        volume = np.zeros(count)
+        shifted = tiles - 1.0
+        for i, (elem_bytes, _, _, mults, dims) in enumerate(self._terms):
+            mask = rows[:, i]
+            dm: Any = elem_bytes
+            if exact:
+                eff: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+                for col, extent, bit in mults:
+                    on = (mask & bit) != 0
+                    if not on.any():
+                        continue
+                    trips = np.ceil(extent / tiles[:, col])
+                    dm = np.where(on, dm * trips, dm)
+                    eff[col] = (on, extent / trips)
+            footprint: Any = None
+            for dim in dims:
+                span: Any = 1.0
+                for col, coeff, _, _ in dim:
+                    step = shifted[:, col]
+                    if exact and col in eff:
+                        on, value = eff[col]
+                        step = np.where(on, value - 1.0, step)
+                    span = span + (step if coeff == 1.0 else coeff * step)
+                footprint = span if footprint is None else footprint * span
+            if footprint is None:
+                footprint = np.ones(count)
+            if exact:
+                volume = volume + dm * footprint
+                continue
+            dm = footprint * elem_bytes
+            for col, extent, bit in mults:
+                ratio = extent / tiles[:, col]
+                on = ((mask & bit) != 0) & (ratio > 1.0)
+                dm = np.where(on, dm * ratio, dm)
+            volume = volume + dm
+        return volume
+
+    def usage(self, rows: np.ndarray, tiles: np.ndarray) -> np.ndarray:
+        """MU of signature row ``i`` at tile row ``tiles[i]`` (as
+        :meth:`MovementTables.usage_row`, buffer loops pinned per row)."""
+        count = rows.shape[0]
+        peak = np.zeros(count)
+        shifted = tiles - 1.0
+        for entries in self._usage_ops:
+            total = np.zeros(count)
+            for elem_bytes, dims, slot in entries:
+                pinned = (
+                    None if slot < 0 else rows[:, len(self._terms) + slot]
+                )
+                footprint: Any = None
+                for dim in dims:
+                    span: Any = 1.0
+                    for col, coeff, bit, fixed in dim:
+                        step = shifted[:, col]
+                        free = span + (step if coeff == 1.0 else coeff * step)
+                        if pinned is None:
+                            span = free
+                        else:
+                            on = (pinned & bit) != 0
+                            span = np.where(on, span + fixed, free)
+                    footprint = span if footprint is None else footprint * span
+                if footprint is None:
+                    footprint = np.ones(count)
+                total = total + footprint * elem_bytes
+            peak = np.maximum(peak, total)
+        return peak
 
 
 # ----------------------------------------------------------------------
@@ -632,7 +864,8 @@ class TablesEvaluator:
         self._width = len(self.tables.loop_names)
         self.constraints = list(constraints)
         self._compiled = [
-            self.tables.compile_constraint(fn) for fn in constraints
+            compile_constraint(self.tables.chain, self.tables.index, fn)
+            for fn in constraints
         ]
         # One SLSQP point is evaluated by several closures (objective,
         # capacity slack, jacobians); the solver hands them the *same*

@@ -9,7 +9,9 @@ Random chains, orders and tilings across every chain family exercise the
 clamped-edge, halo and partial-reduction corners.
 """
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from repro.codegen import (
     program_digest,
     random_inputs,
 )
-from repro.codegen.program import LevelSpec, lower_levels
+from repro.codegen.program import LevelSpec, lower_levels, lower_plan
+from repro.codegen.schedule import clear_schedule_memo
+from repro.core.optimizer import ChimeraOptimizer
 from repro.hardware import xeon_gold_6240
 from repro.ir.chains import batch_gemm_chain, conv_chain, separable_chain
 from repro.sim.cache import RegionCache
@@ -160,6 +164,26 @@ def test_schedule_memoized_per_instance_and_digest():
     assert compile_schedule(relowered) is compile_schedule(program)
     other = lower_schedule(chain, ("b", "m", "l"), {"b": 1, "m": 4, "l": 8})
     assert program_digest(other) != program_digest(program)
+
+
+def test_schedule_dies_with_its_program_without_a_gc_pass():
+    """Program and schedule must not keep each other alive: with the
+    cyclic GC off, dropping the program and the digest memo frees the
+    schedule, its tables and its cache (trace, line streams)."""
+    chain = batch_gemm_chain(2, 24, 16, 16, 24, with_softmax=True)
+    plan = ChimeraOptimizer(HW).optimize(chain)
+    gc.collect()
+    gc.disable()
+    try:
+        program = lower_plan(plan)
+        execute_program(program, random_inputs(chain))
+        simulate_movement_lines(chain, HW, program)
+        schedule = weakref.ref(compile_schedule(program))
+        del program
+        clear_schedule_memo()
+        assert schedule() is None
+    finally:
+        gc.enable()
 
 
 def test_materialized_trace_cached_on_schedule():

@@ -1,6 +1,7 @@
 """Tests for the Chimera inter-block optimizer."""
 
 import dataclasses
+from unittest import mock
 
 import pytest
 
@@ -111,6 +112,26 @@ class TestOptimizer:
         plan = ChimeraOptimizer(cpu).optimize(chain)
         assert plan.fused
         assert plan.executed_flops >= chain.total_flops() * 0.99
+
+    def test_models_built_only_for_searched_orders(self, cpu):
+        """Orders are deduped, ranked and bounded as signature rows: a
+        movement model is built only for the ``top_candidates`` orders
+        each on-chip level searches, not for each of the chain's 45,360
+        canonical orders."""
+        chain = conv_chain(1, 64, 56, 56, 64, 64, 1, 1, 3, 3)
+        built = []
+        original = MovementModel.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[1] if len(args) > 1 else kwargs["perm"])
+            original(self, *args, **kwargs)
+
+        optimizer = ChimeraOptimizer(cpu)
+        with mock.patch.object(MovementModel, "__init__", counting):
+            plan = optimizer.optimize(chain)
+        assert plan.fused
+        levels = len(cpu.on_chip_levels)
+        assert 0 < len(built) <= optimizer.config.top_candidates * levels
 
 
 class TestMultilevel:
