@@ -4,8 +4,10 @@ The claim of the compiled movement tables is that the analytical model
 stops being the compile-time bottleneck: ``MovementModel`` compiles once
 into :class:`repro.core.tables.MovementTables`, the tile solver runs
 one SLSQP start per solve on analytic log-space gradients (with properly
-scaled constraints), and integer refinement scores its lattice in one
-batched call.  This
+scaled constraints), integer refinement scores its lattice in one
+batched call, and the canonical descent scores each pass as stacked
+batches.  Every batch runs through the tables' padded kernel, which
+evaluates all terms (or accesses) at once.  This
 benchmark cold-compiles GEMM + conv chains through the exhaustive order
 search (the test oracle ``tests/search_oracle.py``: every candidate
 solved, no bound, no memo) on the three single-core hardware presets and

@@ -364,7 +364,7 @@ def memo_key(
     model: MovementModel,
     capacity: float,
     *,
-    hinted: bool,
+    hint: Optional[Mapping[str, float]],
     min_tiles: Optional[Mapping[str, int]],
     quanta: Optional[Mapping[str, int]],
     max_parent: Optional[Mapping[str, int]],
@@ -373,13 +373,14 @@ def memo_key(
 ) -> Hashable:
     """The full solve-input key.
 
-    ``hinted`` keeps warm-started solves apart from cold ones: a solve
-    refined from an ``x0_hint`` can land elsewhere on the DV-flat ridge
-    than a cold one, so a cold search must never read a hinted entry.
-    Hinted solves share entries among themselves whatever their hint.
+    ``hint`` is the solve's ``x0_hint`` (``None`` for a cold solve), keyed
+    by its sorted items: a solve refined from a hint can land elsewhere
+    on the DV-flat ridge than a cold one or one refined from another hint,
+    so a search reads only entries solved from its own hint (or cold ones
+    when it is cold).
     """
     return (
-        hinted,
+        _sorted_items(hint),
         digest,
         model.signature_digest(),
         float(capacity),
@@ -446,7 +447,7 @@ class _Solver:
         # The warm-start hint travels to every solve.  A hinted solve
         # refines from the hint instead of from SLSQP's landing point and
         # can end on another point of the DV-flat ridge, so its memo
-        # entries are keyed apart from cold ones.
+        # entries are keyed on the hint.
         self.x0_hint = dict(x0_hint) if x0_hint else None
         self.stats = stats
         self.memo = memo
@@ -462,7 +463,7 @@ class _Solver:
             self.digest,
             model,
             self.capacity,
-            hinted=self.x0_hint is not None,
+            hint=self.x0_hint,
             min_tiles=self.kwargs.get("min_tiles"),
             quanta=self.kwargs.get("quanta"),
             max_parent=self.kwargs.get("max_parent"),
@@ -595,7 +596,7 @@ def search_tiles(
             cold solve's integer solution, so the hint is meant to change
             how fast the search runs, not its result (see
             :func:`solve_tiles` for where that can fail).  Hinted solves
-            are memoized apart from cold ones.
+            are memoized under their hint, apart from cold ones.
         incumbent_hint: a neighboring shape's winning order.  The matching
             candidate (exact permutation or DV-signature twin) is solved
             *first*, so the DV lower bound prunes against a near-optimal

@@ -28,7 +28,8 @@ This module implements the same recipe for *arbitrary* chains:
   optimum with the *exact* (ceil-based) DV and the exact MU, honouring
   per-loop minimum tiles and quanta imposed by the micro kernels.  The
   whole lattice is scored in one batched ``volume_batch``/``usage_batch``
-  call;
+  call.  When no lattice point fits, the min-MU point is halved toward
+  the lower bounds — hard minimums included, which are never relaxed;
 * the refined point is then **canonicalized** by a deterministic cyclic
   per-coordinate scan to the minimum of ``(DV, MU, tile)`` over each
   loop's aligned tile range (:func:`_canonical_descent`).  The exact
@@ -36,14 +37,17 @@ This module implements the same recipe for *arbitrary* chains:
   a DV-flat ridge whose floor/ceil lattice depends on *which* ridge point
   SLSQP converged to; the scan collapses nearby ridge points to the same
   integer solution, and as a bonus canonical points never waste memory:
-  among equal-DV tiles the scan keeps the smallest MU.  The scan is a
-  local search, though: started far from the continuous optimum (say,
-  at the raw log-midpoint) it can stall in a worse valley, which is why
-  a cold refinement always starts from SLSQP's landing point;
+  among equal-DV tiles the scan keeps the smallest MU.  Each pass of the
+  scan is scored as stacked batches, which moves exactly as scoring one
+  scan at a time would (``tests/descent_oracle.py`` is that order).  The
+  scan is a local search, though: started far from the continuous
+  optimum (say, at the raw log-midpoint) it can stall in a worse valley,
+  which is why a cold refinement always starts from SLSQP's landing point;
 * when even all-ones tiles do not fit, the answer is those tiles marked
   ``feasible=False``.  MU and the extra constraints are monotone in every
   tile, so that verdict needs neither a start point nor a continuous
-  solve.
+  solve; likewise, when the hard-minimum point does not fit, the verdict
+  sits at that point.
 """
 
 from __future__ import annotations
@@ -66,6 +70,12 @@ ConstraintFn = Callable[[Mapping[str, float]], float]
 #: skipping an oversized pair is the same decision from every landing
 #: point.  4096 rows is one cheap batched evaluation.
 _PAIR_SCAN_CAP = 4096
+
+#: Most rows one canonical-descent batch stacks (twice the pair cap): a
+#: pass's scans are scored together up to this many rows, so a batch's
+#: memory does not grow with the number of loops.  A scan larger than
+#: this is scored alone.
+_DESCENT_BATCH_ROWS = 2 * _PAIR_SCAN_CAP
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,7 +148,8 @@ def solve_tiles(
 
     Returns:
         the best feasible integer solution found; ``feasible=False`` with
-        all-ones tiles if even the smallest legal tiles exceed capacity.
+        all-ones tiles if even those exceed capacity, or at the
+        hard-minimum point if that exceeds it.
     """
     chain = model.chain
     extents = chain.loop_extents()
@@ -193,7 +204,7 @@ def solve_tiles(
     ):
         # MU and the extra constraints are monotone in every tile, so
         # nothing fits, whatever the start.
-        return _all_ones(model, evaluator, ones)
+        return _infeasible(model, evaluator, names, ones)
 
     # SLSQP evaluates the objective, the capacity slack, and their
     # jacobians at the same point in turn; share one exp(x) per point so
@@ -299,14 +310,18 @@ def solve_tiles(
     )
 
 
-def _all_ones(
-    model: MovementModel, evaluator: TablesEvaluator, ones: np.ndarray
+def _infeasible(
+    model: MovementModel,
+    evaluator: TablesEvaluator,
+    names: Sequence[str],
+    row: np.ndarray,
 ) -> TileSolution:
-    """The infeasible verdict: all-ones tiles, which do not fit."""
+    """The infeasible verdict at the ``(1, len(names))`` smallest legal
+    point, which does not fit."""
     return TileSolution(
-        _full_tiles(model, {}),
-        float(evaluator.volume_exact_batch(ones)[0]),
-        float(evaluator.usage_batch(ones)[0]),
+        _full_tiles(model, dict(zip(names, (int(v) for v in row[0])))),
+        float(evaluator.volume_exact_batch(row)[0]),
+        float(evaluator.usage_batch(row)[0]),
         False,
     )
 
@@ -426,9 +441,18 @@ def _canonical_descent(
       and quanta, never on the landing point, so skipping is itself
       start-invariant.
 
-    The candidate grids depend only on the bounds and quanta, each
+    The candidate grids depend only on the bounds and quanta, and each
     accepted move strictly decreases the ``(DV, MU, tiles)`` key (so the
-    scan terminates), and each grid is scored in one batched evaluation.
+    scan terminates).  Each pass is scored in batches: the grids of its
+    scans, all built from the current point, are stacked up to
+    :data:`_DESCENT_BATCH_ROWS` rows and scored at once, and one
+    ``lexsort`` keyed by scan gives every scan's minimum.  The first scan
+    whose minimum is not the current point moves it; only the scans after
+    that one read the new point, so they are rebuilt and re-scored.  Every
+    scan before it read the same point the one-scan-at-a-time order reads,
+    so the moves are exactly that order's.  The returned point's DV and MU
+    come from the last batch, which scored it.
+
     It is still a local search, not a proof of start invariance: entry
     points far apart (say, the raw log-midpoint and the continuous
     optimum, or a far-off hint) can stall in different valleys.
@@ -465,107 +489,128 @@ def _canonical_descent(
                 last_trips = trips
         return edges
 
-    raw_grids = [_raw_grid(idx) for idx in range(len(names))]
-
-    def grid_for(idx: int) -> List[int]:
-        # The current value rides along so its key is scored by the same
-        # batch as every candidate.
-        return sorted(set(raw_grids[idx]) | {current[names[idx]]})
-
-    def score(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(dv, mu, feasible) per row; dv is NaN on infeasible rows (never
-        consulted — feasible rows only)."""
-        mu = evaluator.usage_batch(rows)
-        ok = (mu <= capacity) & evaluator.constraints_ok_batch(rows)
-        dv = np.full(rows.shape[0], np.nan)
-        if ok.any():  # exact DV only where it can be selected
-            dv[ok] = evaluator.volume_exact_batch(rows[ok])
-        return dv, mu, ok
-
-    def base_row() -> np.ndarray:
-        return np.array([float(current[n]) for n in names], dtype=float)
-
-    def accept(rows: np.ndarray, moved: Sequence[int]) -> bool:
-        """Jump to the feasible row minimizing (dv, mu, moved tiles...) if
-        it strictly beats the current point's row (always included)."""
-        dv, mu, ok = score(rows)
-        feasible = np.nonzero(ok)[0]
-        if not feasible.size:
-            return False
-        columns = [rows[feasible, idx] for idx in reversed(moved)]
-        order = np.lexsort(tuple(columns) + (mu[feasible], dv[feasible]))
-        row = int(feasible[order[0]])
-        cur = base_row()
-        if all(rows[row, idx] == cur[idx] for idx in moved):
-            return False
-        cur_rows = np.nonzero((rows == cur).all(axis=1))[0]
-        if cur_rows.size and ok[cur_rows[0]]:
-            ref = int(cur_rows[0])
-            best_key = (dv[row], mu[row]) + tuple(
-                rows[row, idx] for idx in moved
-            )
-            cur_key = (dv[ref], mu[ref]) + tuple(
-                rows[ref, idx] for idx in moved
-            )
-            if not best_key < cur_key:
-                return False
-        for idx in moved:
-            current[names[idx]] = int(rows[row, idx])
-        return True
+    raw_sets = [set(_raw_grid(idx)) for idx in range(len(names))]
+    raw_grids = [np.array(sorted(grid), dtype=float) for grid in raw_sets]
+    point = np.array([float(current[n]) for n in names])
+    # (DV, MU) of ``point``, as the last scored batch found it.
+    scored: Optional[Tuple[float, float]] = None
 
     def pinned(idx: int) -> bool:
         """A coordinate already sitting on its only aligned value cannot
         move, and scanning it re-evaluates rows an earlier (stalled) scan
         already rejected — skipping changes nothing."""
-        return (
-            len(raw_grids[idx]) == 1
-            and raw_grids[idx][0] == current[names[idx]]
+        return len(raw_grids[idx]) == 1 and raw_grids[idx][0] == point[idx]
+
+    def grids_for(scan: Tuple[int, ...]) -> Optional[List[np.ndarray]]:
+        """The scan's per-loop candidates, or ``None`` if it is skipped.
+        The current value rides along so its key is scored by the same
+        batch as every candidate."""
+        if any(pinned(idx) for idx in scan):
+            return None
+        grids = []
+        for idx in scan:
+            grid, value = raw_grids[idx], point[idx]
+            if int(value) not in raw_sets[idx]:
+                grid = np.insert(grid, np.searchsorted(grid, value), value)
+            grids.append(grid)
+        return grids
+
+    def score(batch: List[Tuple[Tuple[int, ...], List[np.ndarray]]]) -> int:
+        """Score the stacked scans; move to the first one's minimum that is
+        not the current point and return its position in ``batch``, or -1
+        when none moves."""
+        nonlocal scored
+        sizes = [math.prod(len(g) for g in grids) for _, grids in batch]
+        arity = len(batch[0][0])
+        rows = np.repeat(point[None, :], sum(sizes), axis=0)
+        moved = np.empty((rows.shape[0], arity))
+        here = np.empty((len(batch), arity))
+        offset = 0
+        for k, ((scan, grids), size) in enumerate(zip(batch, sizes)):
+            # A pair's block is its 2-D grid in ``meshgrid(...,
+            # indexing="ij")`` order: row-major over (t_i, t_j).
+            shape = tuple(len(g) for g in grids)
+            row_block = rows[offset:offset + size].reshape(shape + (-1,))
+            moved_block = moved[offset:offset + size].reshape(shape + (-1,))
+            for c, (idx, values) in enumerate(zip(scan, grids)):
+                axis = (slice(None),) + (None,) * (arity - 1 - c)
+                row_block[..., idx] = values[axis]
+                moved_block[..., c] = values[axis]
+                here[k, c] = point[idx]
+            offset += size
+        owner = np.repeat(np.arange(len(batch)), sizes)
+        dv, mu, ok = evaluator.score_batch(rows, capacity)
+        feasible = np.flatnonzero(ok)
+        # Per scan, the feasible row minimizing (DV, MU, moved tiles...).
+        order = np.lexsort(
+            tuple(moved[feasible, c] for c in reversed(range(arity)))
+            + (mu[feasible], dv[feasible], owner[feasible])
         )
+        ranked = feasible[order]
+        firsts = np.ones(ranked.size, dtype=bool)
+        firsts[1:] = owner[ranked[1:]] != owner[ranked[:-1]]
+        best = ranked[firsts]
+        moves = (moved[best] != here[owner[best]]).any(axis=1)
+        if moves.any():
+            row = int(best[np.argmax(moves)])
+            for c, idx in enumerate(batch[owner[row]][0]):
+                point[idx] = moved[row, c]
+                current[names[idx]] = int(moved[row, c])
+            scored = (dv[row], mu[row])
+            return int(owner[row])
+        # Every scan holds the current point; its score closes the descent.
+        row = int(np.flatnonzero((moved[:sizes[0]] == here[0]).all(axis=1))[0])
+        scored = (dv[row], mu[row])
+        return -1
 
-    def single_pass() -> bool:
+    def run_pass(scans: List[Tuple[int, ...]]) -> bool:
         improved = False
-        for idx in range(len(names)):
-            if pinned(idx):
-                continue
-            candidates = grid_for(idx)
-            rows = np.tile(base_row(), (len(candidates), 1))
-            rows[:, idx] = np.asarray(candidates, dtype=float)
-            improved |= accept(rows, [idx])
+        start = 0
+        while start < len(scans):
+            batch: List[Tuple[Tuple[int, ...], List[np.ndarray]]] = []
+            positions: List[int] = []
+            total = 0
+            stop = len(scans)
+            for pos in range(start, len(scans)):
+                grids = grids_for(scans[pos])
+                if grids is None:
+                    continue
+                size = math.prod(len(g) for g in grids)
+                if batch and total + size > _DESCENT_BATCH_ROWS:
+                    stop = pos
+                    break
+                batch.append((scans[pos], grids))
+                positions.append(pos)
+                total += size
+            if not batch:
+                break
+            moved_at = score(batch)
+            if moved_at < 0:
+                start = stop
+            else:
+                improved = True
+                start = positions[moved_at] + 1
         return improved
 
-    def pair_pass() -> bool:
-        improved = False
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                # The cap is computed from the raw grids so every start
-                # skips the same pairs.  A pair with a pinned side is a
-                # single-coordinate scan in disguise — already stalled.
-                if len(raw_grids[i]) * len(raw_grids[j]) > _PAIR_SCAN_CAP:
-                    continue
-                if pinned(i) or pinned(j):
-                    continue
-                grid_i, grid_j = grid_for(i), grid_for(j)
-                rows = np.tile(
-                    base_row(), (len(grid_i) * len(grid_j), 1)
-                )
-                mesh_i, mesh_j = np.meshgrid(
-                    np.asarray(grid_i, dtype=float),
-                    np.asarray(grid_j, dtype=float),
-                    indexing="ij",
-                )
-                rows[:, i] = mesh_i.reshape(-1)
-                rows[:, j] = mesh_j.reshape(-1)
-                improved |= accept(rows, [i, j])
-        return improved
-
+    singles = [(idx,) for idx in range(len(names))]
+    # The cap is computed from the raw grids so every start skips the same
+    # pairs.  A pair with a pinned side is a single-coordinate scan in
+    # disguise — already stalled — so ``grids_for`` skips it.
+    pairs = [
+        (i, j)
+        for i in range(len(names))
+        for j in range(i + 1, len(names))
+        if len(raw_grids[i]) * len(raw_grids[j]) <= _PAIR_SCAN_CAP
+    ]
     for _ in range(max_passes):
-        if single_pass():
+        if run_pass(singles):
             continue
-        if not pair_pass():
+        if not run_pass(pairs):
             break
-    row = base_row().reshape(1, -1)
-    dv, mu, _ = score(row)
-    return float(dv[0]), float(mu[0]), current
+    if scored is None:  # no scan ran: every loop is pinned
+        dv, mu, _ = evaluator.score_batch(point.reshape(1, -1), capacity)
+        scored = (dv[0], mu[0])
+    return float(scored[0]), float(scored[1]), current
 
 
 def _integer_refine(
@@ -581,10 +626,11 @@ def _integer_refine(
 ) -> TileSolution:
     """Floor/ceil lattice search around the continuous optimum.
 
-    The entire lattice is scored in one batched DV/MU evaluation.  The
-    selection rule is the first-occurrence (in lexicographic lattice
-    order) strict minimum of DV among feasible points, with the
-    first-occurrence ``(MU, DV)`` minimum as the infeasible fallback.
+    The entire lattice is scored in one batched DV/MU evaluation (DV on
+    the feasible points only, unless none is feasible).  The selection
+    rule is the first-occurrence (in lexicographic lattice order) strict
+    minimum of DV among feasible points, with the first-occurrence
+    ``(MU, DV)`` minimum as the infeasible fallback.
     Every feasible result is then canonicalized by
     :func:`_canonical_descent`, which erases the lattice's dependence on
     the exact continuous landing point.
@@ -595,9 +641,7 @@ def _integer_refine(
         indexing="ij",
     )
     lattice = np.stack([g.reshape(-1) for g in grids], axis=1)
-    dv_all = evaluator.volume_exact_batch(lattice)
-    mu_all = evaluator.usage_batch(lattice)
-    feasible = (mu_all <= capacity) & evaluator.constraints_ok_batch(lattice)
+    dv_all, mu_all, feasible = evaluator.score_batch(lattice, capacity)
 
     def tiles_of(values: np.ndarray) -> Dict[str, int]:
         return _full_tiles(model, dict(zip(names, (int(v) for v in values))))
@@ -618,9 +662,12 @@ def _integer_refine(
         )
         return TileSolution(tiles, dv, mu, True)
 
-    # No feasible lattice point: shrink the min-MU candidate geometrically.
+    # No feasible lattice point: halve the min-MU candidate toward the
+    # lower bounds, which include the hard minimums (never relaxed).
+    dv_all = evaluator.volume_exact_batch(lattice)
     shrunk = lattice[int(np.lexsort((dv_all, mu_all))[0])].reshape(1, -1)
-    for _ in range(64):
+    floor = lower.reshape(1, -1)
+    while True:
         if (
             evaluator.usage_batch(shrunk)[0] <= capacity
             and evaluator.constraints_ok_batch(shrunk)[0]
@@ -637,8 +684,11 @@ def _integer_refine(
                 evaluator=evaluator,
             )
             return TileSolution(tiles, dv, mu, True)
-        shrunk = np.maximum(1.0, np.floor(shrunk / 2))
-    return _all_ones(model, evaluator, np.ones((1, len(names))))
+        if (shrunk == floor).all():
+            # MU and the extra constraints are monotone in every tile, so
+            # no legal point fits: the verdict sits at the lower bounds.
+            return _infeasible(model, evaluator, names, floor)
+        shrunk = np.maximum(floor, np.floor(shrunk / 2))
 
 
 def gemm_chain_closed_form(

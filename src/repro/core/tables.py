@@ -4,9 +4,9 @@ This module is how the optimizer evaluates Algorithm 1.  A
 :class:`repro.core.movement.MovementModel` is compiled once into a
 :class:`MovementTables` object — flat per-term tuples of (loop column,
 coefficient) entries plus numpy-ready column indices — which evaluates
-the same formulas either for a single tile vector (the solver's hot
-path) or for an ``(N, L)`` candidate matrix in a handful of numpy calls
-(the integer-refinement lattice and canonical-descent grids).
+the same formulas either for a single tile vector (SLSQP's hot path) or
+for an ``(N, L)`` candidate matrix in a handful of numpy calls (the
+integer-refinement lattice and the canonical descent's batches).
 :class:`SignatureTables` evaluates the same formulas for many *orders*
 of one chain at once, from their signature rows (the order search's
 dedupe, rank probe and pruning bounds).
@@ -17,18 +17,25 @@ dict-based model (and the literal ``algorithm1()``) stay usable as test
 oracles compared with ``==``.  Every evaluator below therefore replays the
 model's floating-point operation sequence:
 
-* reductions over terms, dims and loop entries stay sequential Python
-  loops (numpy's ``sum``/``dot`` use pairwise summation, which associates
-  differently);
-* only the candidate axis ``N`` is vectorized — elementwise numpy ops on
-  float64 arrays perform the same IEEE-754 operation as Python floats;
+* reductions over loop entries, dims, multipliers and terms (or accesses)
+  stay sequential — Python loops, never numpy's ``sum``/``dot``, whose
+  pairwise summation associates differently;
+* the row paths walk one term at a time; the batch paths vectorize the
+  candidate axis ``N`` and, through a padded plan compiled once per
+  tables object, the terms (or accesses) too: one numpy operation per
+  entry *slot* evaluates that entry of every term, a pad entry adds an
+  exact ``0.0`` and a pad span or trip count multiplies by an exact
+  ``1.0``, so each element still sees its own operations in its own
+  order — elementwise numpy ops on float64 arrays perform the same
+  IEEE-754 operation as Python floats;
 * integer inputs (extents, coefficients, byte counts) are exact in double
   precision, so pre-converting them to floats changes nothing.
 
 Compiled tables are memoized per model instance and, across models, in a
 bounded process-global LRU keyed by chain identity +
 ``signature_digest()`` — permutations with equal signatures share one
-compilation.
+compilation.  Tables hold no reference to their chain, and a collected
+chain's entries leave the LRU on the next memo call.
 
 Stitched chains (:mod:`repro.ir.stitch`) compile through the same tables:
 each stitched memory-intensive op contributes ordinary MU rows (its tile
@@ -44,10 +51,12 @@ import itertools
 import math
 import threading
 import weakref
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import (
+    AbstractSet,
     Any,
     Callable,
+    Deque,
     Dict,
     Hashable,
     List,
@@ -61,6 +70,253 @@ import numpy as np
 
 from ..ir.chain import OperatorChain
 from .movement import MovementModel, _chain_prep
+
+# ----------------------------------------------------------------------
+# padded batch plans
+# ----------------------------------------------------------------------
+#: A span entry as compiled for a padded plan: (source row, coefficient).
+_Entry = Tuple[int, float]
+
+
+class _SpanPlan:
+    """Footprints of many terms or accesses at once.
+
+    Each item is a product of dims, each dim a span ``1.0 + sum(coeff *
+    source)`` over its entries, where a source is one row of a caller-built
+    ``(R, N)`` matrix (a loop's ``tile - 1``, a multiplier loop's
+    ``extent / trips - 1``, or a constant).  Items are padded to common
+    widths: a pad entry reads the constant ``0.0`` row (adds an exact
+    ``0.0``) and a pad dim holds only pad entries (multiplies by an exact
+    ``1.0``), so every item still sees its own operations in its own
+    order.  A slot whose coefficients are all ``1.0`` skips the multiply
+    (``1.0 * x == x``).
+    """
+
+    __slots__ = ("items", "slots")
+
+    def __init__(
+        self, items: Sequence[Sequence[Sequence[_Entry]]], zero_row: int
+    ) -> None:
+        self.items = len(items)
+        depth = max((len(item) for item in items), default=0)
+        slots = []
+        for d in range(depth):
+            dims = [item[d] if d < len(item) else () for item in items]
+            entries = []
+            for e in range(max(1, max(len(dim) for dim in dims))):
+                padded = [
+                    dim[e] if e < len(dim) else (zero_row, 1.0)
+                    for dim in dims
+                ]
+                coeffs = np.array([c for _, c in padded])[:, None]
+                entries.append((
+                    np.array([src for src, _ in padded], dtype=np.intp),
+                    None if (coeffs == 1.0).all() else coeffs,
+                ))
+            slots.append(tuple(entries))
+        self.slots = tuple(slots)
+
+    def footprints(self, sources: np.ndarray) -> np.ndarray:
+        """``(items, N)`` footprints from the ``(R, N)`` source matrix.
+
+        In place on fresh gathers: ``step + 1.0``, ``span += step``,
+        ``step *= coeff`` and ``footprint *= span`` are the same IEEE
+        operations as the row path's ``1.0 + step``, ``span + step``,
+        ``coeff * step`` and ``footprint * span``.
+        """
+        footprint: Any = None
+        for entries in self.slots:
+            span: Any = None
+            for rows, coeffs in entries:
+                step = sources.take(rows, axis=0)
+                if coeffs is not None:
+                    step *= coeffs
+                if span is None:
+                    step += 1.0
+                    span = step
+                else:
+                    span += step
+            if footprint is None:
+                footprint = span
+            else:
+                footprint *= span
+        if footprint is None:
+            footprint = np.ones((self.items, sources.shape[1]))
+        return footprint
+
+
+#: Rows per padded-kernel pass.  Larger batches run in slices of this
+#: many rows (every row is evaluated on its own, so slicing changes no
+#: value), which keeps each ``(items, rows)`` temporary small enough to be
+#: reused from the heap instead of mapped fresh per operation.
+_CHUNK_ROWS = 2048
+
+
+def _chunked(kernel: Callable[[np.ndarray], np.ndarray], rows: np.ndarray):
+    """``kernel(rows)``, run on slices of at most :data:`_CHUNK_ROWS` rows
+    and joined along the last axis."""
+    count = rows.shape[0]
+    if count <= _CHUNK_ROWS:
+        return kernel(rows)
+    return np.concatenate(
+        [
+            kernel(rows[start:start + _CHUNK_ROWS])
+            for start in range(0, count, _CHUNK_ROWS)
+        ],
+        axis=-1,
+    )
+
+
+def _shifted_sources(
+    rows: np.ndarray, lead: int, constants: np.ndarray
+) -> np.ndarray:
+    """``(len(constants) + lead + L, N)`` source matrix: the constants,
+    ``lead`` rows left for the caller, then ``rows.T - 1.0``."""
+    head = len(constants)
+    sources = np.empty((head + lead + rows.shape[1], rows.shape[0]))
+    sources[:head] = constants[:, None]
+    np.subtract(rows.T, 1.0, out=sources[head + lead:])
+    return sources
+
+
+class _UsagePlan:
+    """Summed access footprints of one or more access groups, padded.
+
+    A group is one operator's accesses (MU takes the peak over groups) or
+    one constraint's (which subtracts its capacity).  Source rows are the
+    distinct constant addends (``0.0`` first), then the loop columns.
+    """
+
+    __slots__ = ("constants", "spans", "elem_bytes", "groups", "slots")
+
+    def __init__(
+        self, groups: Sequence[Sequence["_AccessTable"]]
+    ) -> None:
+        constants: Dict[float, int] = {0.0: 0}
+        accesses = [acc for group in groups for acc in group]
+        for acc in accesses:
+            for dim in acc.dims:
+                for col, coeff in dim:
+                    if col < 0:
+                        constants.setdefault(coeff, len(constants))
+        base = len(constants)
+        self.constants = np.array(list(constants))
+        # A pinned loop adds its constant: ``span + 1.0 * c == span + c``.
+        self.spans = _SpanPlan(
+            [
+                [
+                    [
+                        (constants[coeff], 1.0) if col < 0
+                        else (base + col, coeff)
+                        for col, coeff in dim
+                    ]
+                    for dim in acc.dims
+                ]
+                for acc in accesses
+            ],
+            zero_row=0,
+        )
+        self.elem_bytes = np.array([acc.elem_bytes for acc in accesses])
+        # Per slot, the access each group adds; pads add the zero row.
+        pad = len(accesses)
+        width = max((len(group) for group in groups), default=0)
+        offsets = np.cumsum([0] + [len(group) for group in groups])
+        self.groups = len(groups)
+        self.slots = tuple(
+            np.array(
+                [
+                    offsets[g] + s if s < len(group) else pad
+                    for g, group in enumerate(groups)
+                ],
+                dtype=np.intp,
+            )
+            for s in range(width)
+        )
+
+    def totals(self, rows: np.ndarray) -> np.ndarray:
+        """``(groups, N)`` summed footprint bytes per group."""
+        count = rows.shape[0]
+        footprint = self.spans.footprints(
+            _shifted_sources(rows, 0, self.constants)
+        )
+        weighted = np.empty((self.spans.items + 1, count))
+        np.multiply(footprint, self.elem_bytes[:, None], out=weighted[:-1])
+        weighted[-1] = 0.0
+        total = np.zeros((self.groups, count))
+        for members in self.slots:
+            total += weighted.take(members, axis=0)
+        return total
+
+
+class _VolumePlan:
+    """Exact DV of every term at once, padded.
+
+    Source rows are the constant ``0.0``, then ``extent / trips - 1`` per
+    distinct (multiplier column, extent) pair, then the loop columns.  Each
+    term's multiplier product runs over per-slot trip rows, where a pad
+    slot reads a row of exact ``1.0``.
+    """
+
+    __slots__ = ("pair_cols", "pair_extents", "spans", "elem_bytes", "mults")
+
+    def __init__(self, terms: Sequence["_TermTable"]) -> None:
+        pairs: Dict[Tuple[int, int], int] = {}
+        for term in terms:
+            for mult in term.mults:
+                pairs.setdefault(mult, len(pairs))
+        self.pair_cols = np.array([col for col, _ in pairs], dtype=np.intp)
+        self.pair_extents = np.array(
+            [float(extent) for _, extent in pairs]
+        )[:, None]
+        base = 1 + len(pairs)
+        items = []
+        for term in terms:
+            # A multiplier loop's span reads its effective tile (the last
+            # pair of a column wins, as in the row path's dict).
+            effective = {col: 1 + pairs[(col, extent)]
+                         for col, extent in term.mults}
+            items.append([
+                [
+                    (effective.get(col, base + col), coeff)
+                    for col, coeff in dim
+                ]
+                for dim in term.dims
+            ])
+        self.spans = _SpanPlan(items, zero_row=0)
+        self.elem_bytes = np.array([term.elem_bytes for term in terms])[:, None]
+        ones = len(pairs)
+        width = max((len(term.mults) for term in terms), default=0)
+        self.mults = tuple(
+            np.array(
+                [
+                    pairs[term.mults[m]] if m < len(term.mults) else ones
+                    for term in terms
+                ],
+                dtype=np.intp,
+            )
+            for m in range(width)
+        )
+
+    def volume(self, rows: np.ndarray) -> np.ndarray:
+        count = rows.shape[0]
+        pairs = len(self.pair_cols)
+        sources = _shifted_sources(rows, pairs, np.zeros(1))
+        trips = np.empty((pairs + 1, count))
+        np.ceil(self.pair_extents / rows.T[self.pair_cols], out=trips[:-1])
+        trips[-1] = 1.0
+        np.subtract(
+            self.pair_extents / trips[:-1], 1.0, out=sources[1:1 + pairs]
+        )
+        footprint = self.spans.footprints(sources)
+        dm: Any = self.elem_bytes
+        for slot in self.mults:
+            dm = dm * trips.take(slot, axis=0)
+        footprint *= dm
+        volume = np.zeros(count)
+        for term in footprint:
+            volume += term
+        return volume
+
 
 # ----------------------------------------------------------------------
 # compiled tables
@@ -101,13 +357,14 @@ class _AccessTable:
 class _ConstraintTable:
     """A compiled access-group constraint: sum of footprints - capacity."""
 
-    __slots__ = ("accesses", "capacity")
+    __slots__ = ("accesses", "capacity", "_plan")
 
     def __init__(
         self, accesses: Tuple[_AccessTable, ...], capacity: float
     ) -> None:
         self.accesses = accesses
         self.capacity = capacity
+        self._plan: Optional[_UsagePlan] = None
 
     def row(self, t: Sequence[float]) -> float:
         usage = 0.0
@@ -122,20 +379,10 @@ class _ConstraintTable:
         return usage - self.capacity
 
     def batch(self, rows: np.ndarray) -> np.ndarray:
-        usage = np.zeros(rows.shape[0])
-        shifted = rows - 1.0
-        for acc in self.accesses:
-            footprint = None
-            for dim in acc.dims:
-                span = 1.0
-                for col, coeff in dim:
-                    step = shifted[:, col]
-                    span = span + (step if coeff == 1.0 else coeff * step)
-                footprint = span if footprint is None else footprint * span
-            if footprint is None:
-                footprint = np.ones(rows.shape[0])
-            usage = usage + footprint * acc.elem_bytes
-        return usage - self.capacity
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _UsagePlan((self.accesses,))
+        return _chunked(plan.totals, rows)[0] - self.capacity
 
     def gradient_row(self, t: Sequence[float]) -> List[float]:
         grad = [0.0] * len(t)
@@ -167,7 +414,6 @@ class MovementTables:
     """
 
     def __init__(self, model: MovementModel) -> None:
-        self.chain = model.chain
         extents = model.chain.loop_extents()
         self.loop_names: Tuple[str, ...] = tuple(extents)
         self.index: Dict[str, int] = {
@@ -244,6 +490,8 @@ class MovementTables:
             )
             for entries in self.usage_ops
         )
+        self._volume_plan: Optional[_VolumePlan] = None
+        self._usage_plan: Optional[_UsagePlan] = None
 
     # -- row (single tile vector) paths --------------------------------
     def row_of(self, tiles: Mapping[str, float]) -> List[float]:
@@ -377,99 +625,25 @@ class MovementTables:
         return peak, peak_grad
 
     # -- batched (N, L) paths ------------------------------------------
-    # Bit-exact shortcuts: each span starts as the scalar 1.0 (``1.0 + v``
-    # is the same IEEE operation on every row as ``np.ones(N) + v``),
-    # ``rows - 1.0`` is computed once per call, and unit coefficients skip
-    # their multiply (``1.0 * x == x``).  The bound bisections call these
-    # in tight loops on small batches.
-    def volume_batch(
-        self, rows: np.ndarray, *, exact: bool = True
-    ) -> np.ndarray:
-        """DV for every row of an ``(N, L)`` candidate-tile matrix."""
-        count = rows.shape[0]
-        volume = np.zeros(count)
-        shifted = rows - 1.0
-        for term in self.terms:
-            if exact:
-                dm: Any = None
-                eff: Dict[int, np.ndarray] = {}
-                for col, extent in term.mults:
-                    trips = np.ceil(extent / rows[:, col])
-                    eff[col] = extent / trips
-                    dm = (
-                        trips * term.elem_bytes if dm is None else dm * trips
-                    )
-                footprint = None
-                for dim in term.dims:
-                    span = 1.0
-                    for col, coeff in dim:
-                        value = eff.get(col)
-                        step = (
-                            shifted[:, col] if value is None else value - 1.0
-                        )
-                        span = span + (
-                            step if coeff == 1.0 else coeff * step
-                        )
-                    footprint = (
-                        span if footprint is None else footprint * span
-                    )
-                if footprint is None:
-                    footprint = np.ones(count)
-                if dm is None:
-                    volume = volume + term.elem_bytes * footprint
-                else:
-                    volume = volume + dm * footprint
-            else:
-                footprint = None
-                for dim in term.dims:
-                    span = 1.0
-                    for col, coeff in dim:
-                        step = shifted[:, col]
-                        span = span + (
-                            step if coeff == 1.0 else coeff * step
-                        )
-                    footprint = (
-                        span if footprint is None else footprint * span
-                    )
-                if footprint is None:
-                    footprint = np.ones(count)
-                dm = footprint * term.elem_bytes
-                for col, extent in term.mults:
-                    dm = dm * np.maximum(extent / rows[:, col], 1.0)
-                volume = volume + dm
-        return volume
+    # Padded plans compiled on first use: every term (access) is evaluated
+    # at once, so the numpy call count per batch grows with the pad widths,
+    # not with the number of entries.
+    def volume_batch(self, rows: np.ndarray) -> np.ndarray:
+        """Exact DV for every row of an ``(N, L)`` candidate-tile matrix."""
+        plan = self._volume_plan
+        if plan is None:
+            plan = self._volume_plan = _VolumePlan(self.terms)
+        return _chunked(plan.volume, rows)
 
     def usage_batch(self, rows: np.ndarray) -> np.ndarray:
         """MU for every row of an ``(N, L)`` candidate-tile matrix."""
-        count = rows.shape[0]
-        peak = np.zeros(count)
-        shifted = rows - 1.0
-        for entries in self.usage_ops:
-            total = np.zeros(count)
-            for acc in entries:
-                footprint = None
-                for dim in acc.dims:
-                    span = 1.0
-                    for col, coeff in dim:
-                        if col < 0:
-                            span = span + coeff
-                            continue
-                        step = shifted[:, col]
-                        span = span + (
-                            step if coeff == 1.0 else coeff * step
-                        )
-                    footprint = (
-                        span if footprint is None else footprint * span
-                    )
-                if footprint is None:
-                    footprint = np.ones(count)
-                total = total + footprint * acc.elem_bytes
+        plan = self._usage_plan
+        if plan is None:
+            plan = self._usage_plan = _UsagePlan(self.usage_ops)
+        peak = np.zeros(rows.shape[0])
+        for total in _chunked(plan.totals, rows):
             peak = np.maximum(peak, total)
         return peak
-
-    def slack_batch(self, rows: np.ndarray, capacity: float) -> np.ndarray:
-        """``capacity - MU`` per row (the solver's feasibility margin)."""
-        return capacity - self.usage_batch(rows)
 
 
 def compile_constraint(
@@ -774,6 +948,12 @@ class _TablesMemo:
             self._misses = 0
             self._evictions = 0
 
+    def forget(self, tokens: AbstractSet[int]) -> None:
+        """Drop the entries of collected chains (keys ``(token, ...)``)."""
+        with self._lock:
+            for key in [k for k in self._entries if k[0] in tokens]:
+                del self._entries[key]
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -796,25 +976,48 @@ _GLOBAL_TABLES_MEMO = _TablesMemo()
 # token (not ``id()``) guards against address reuse after garbage
 # collection; ``signature_digest()`` already covers reuse_intermediates and
 # the movement structure, and equal signatures on one chain induce
-# bit-identical DV/MU functions — sharing one compilation is exact.
+# bit-identical DV/MU functions — sharing one compilation is exact.  Tables
+# do not reference their chain, so a chain's entries cannot keep it alive;
+# once it is collected its token can never be looked up again, and its
+# entries are dropped.
 _CHAIN_TOKENS: Dict[int, int] = {}
 _CHAIN_TOKEN_LOCK = threading.Lock()
 _NEXT_CHAIN_TOKEN = itertools.count()
+#: ``(address, token)`` of collected chains, not yet forgotten.
+_DEAD_CHAINS: Deque[Tuple[int, int]] = deque()
 
 
-def _drop_chain_token(address: int) -> None:
-    with _CHAIN_TOKEN_LOCK:
-        _CHAIN_TOKENS.pop(address, None)
+def _chain_collected(address: int, token: int) -> None:
+    # A finalizer runs inside whatever code the garbage collector
+    # interrupted, possibly under one of the locks here, so it only queues
+    # (``deque.append`` is atomic) and never waits.
+    _DEAD_CHAINS.append((address, token))
+
+
+def _drain_dead_chains() -> None:
+    """Forget the queued collected chains (caller holds
+    ``_CHAIN_TOKEN_LOCK``): free their addresses for reuse and drop their
+    tables from the memo."""
+    tokens = set()
+    while _DEAD_CHAINS:
+        address, token = _DEAD_CHAINS.popleft()
+        if _CHAIN_TOKENS.get(address) == token:
+            del _CHAIN_TOKENS[address]
+        tokens.add(token)
+    if tokens:
+        _GLOBAL_TABLES_MEMO.forget(tokens)
 
 
 def _chain_token(chain: Any) -> int:
     address = id(chain)
     with _CHAIN_TOKEN_LOCK:
+        # A collected chain's address may already hold this one.
+        _drain_dead_chains()
         token = _CHAIN_TOKENS.get(address)
         if token is None:
             token = next(_NEXT_CHAIN_TOKEN)
             _CHAIN_TOKENS[address] = token
-            weakref.finalize(chain, _drop_chain_token, address)
+            weakref.finalize(chain, _chain_collected, address, token)
         return token
 
 
@@ -833,6 +1036,8 @@ def movement_tables(model: MovementModel) -> MovementTables:
 
 def tables_memo_stats() -> Dict[str, int]:
     """Counters of the process-global tables memo."""
+    with _CHAIN_TOKEN_LOCK:
+        _drain_dead_chains()
     return _GLOBAL_TABLES_MEMO.stats()
 
 
@@ -864,7 +1069,7 @@ class TablesEvaluator:
         self._width = len(self.tables.loop_names)
         self.constraints = list(constraints)
         self._compiled = [
-            compile_constraint(self.tables.chain, self.tables.index, fn)
+            compile_constraint(model.chain, self.tables.index, fn)
             for fn in constraints
         ]
         # One SLSQP point is evaluated by several closures (objective,
@@ -930,19 +1135,36 @@ class TablesEvaluator:
         grad_map = self.constraints[i].gradient(self._scalar_tiles(values))
         return np.array([grad_map.get(n, 0.0) for n in self.names])
 
-    # -- batched helpers (lattice refinement, bound probes) ------------
+    # -- batched helpers (lattice refinement, canonical descent) --------
     def volume_exact_batch(self, values: np.ndarray) -> np.ndarray:
-        return self.tables.volume_batch(self.matrix(values), exact=True)
+        return self.tables.volume_batch(self.matrix(values))
 
     def usage_batch(self, values: np.ndarray) -> np.ndarray:
         return self.tables.usage_batch(self.matrix(values))
 
     def constraints_ok_batch(self, values: np.ndarray) -> np.ndarray:
         """Per-row conjunction ``all(fn(tiles) <= 0)`` over the extras."""
-        ok = np.ones(values.shape[0], dtype=bool)
         if not self.constraints:
-            return ok
+            return np.ones(values.shape[0], dtype=bool)
+        return self._constraints_ok(values, self.matrix(values))
+
+    def score_batch(
+        self, values: np.ndarray, capacity: float
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(dv, mu, feasible)`` per row, expanding the rows once; ``dv``
+        is exact where feasible and NaN elsewhere (never selected)."""
         rows = self.matrix(values)
+        mu = self.tables.usage_batch(rows)
+        ok = (mu <= capacity) & self._constraints_ok(values, rows)
+        dv = np.full(values.shape[0], np.nan)
+        if ok.any():
+            dv[ok] = self.tables.volume_batch(rows[ok])
+        return dv, mu, ok
+
+    def _constraints_ok(
+        self, values: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
+        ok = np.ones(values.shape[0], dtype=bool)
         for i, fn in enumerate(self.constraints):
             compiled = self._compiled[i]
             if compiled is not None:

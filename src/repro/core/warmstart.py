@@ -35,9 +35,10 @@ it returns**:
   theorem: a far-off hint can end elsewhere.
 
 Because hints are not meant to change results, they stay **out** of
-every plan-cache key.  The solve memo does key on whether a solve was
-hinted (not on the hint itself): a hinted solve can land elsewhere on
-the ridge, and a cold search must never read its entry.
+every plan-cache key.  The solve memo does key on the tile hint itself:
+a hinted solve can land elsewhere on the ridge, so a cold search must
+never read its entry, and neither may a search hinted otherwise — else a
+near-miss plan would depend on which near miss the process solved first.
 
 An adversarial (wrong-neighbor) hint degrades gracefully: an order that
 matches no candidate is ignored, and tiles from an unrelated shape enter

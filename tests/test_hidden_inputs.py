@@ -93,3 +93,39 @@ def test_hinted_search_does_not_answer_a_later_cold_one():
         solve_memo().clear()
     assert cold.dv == 411648.0
     assert (after.tiles, after.dv) == (cold.tiles, cold.dv)
+
+
+def test_hinted_search_depends_only_on_its_hint():
+    """A near-miss search answers from entries solved from its own hint.
+
+    Hinted with the cold tiles, this search returns 411,648 B on a fresh
+    memo; a search hinted elsewhere first refines to 415,744 B.  Keyed on
+    the hint, that entry is never read by the later search.
+    """
+    chain = conv_chain(1, 32, 28, 28, 32, 32, 1, 1, 1, 1)
+    (model,) = [
+        m for m in candidate_models(chain).models
+        if m.perm == ("oc1", "ic", "oh", "ow", "oc2")
+    ]
+    min_tiles = {
+        loop: min(8, extent) for loop, extent in chain.loop_extents().items()
+    }
+    far = {"ic": 1, "n": 1, "oh": 23, "rh2": 1, "ow": 24, "rw2": 1,
+           "oc2": 4}
+    try:
+        solve_memo().clear()
+        cold = search_tiles([model], 16384.0, min_tiles=min_tiles)[1]
+        near = dict(cold.tiles)
+        solve_memo().clear()
+        fresh = search_tiles(
+            [model], 16384.0, min_tiles=min_tiles, x0_hint=near
+        )[1]
+        solve_memo().clear()
+        search_tiles([model], 16384.0, min_tiles=min_tiles, x0_hint=far)
+        after = search_tiles(
+            [model], 16384.0, min_tiles=min_tiles, x0_hint=near
+        )[1]
+    finally:
+        solve_memo().clear()
+    assert fresh.dv == 411648.0
+    assert (after.tiles, after.dv) == (fresh.tiles, fresh.dv)

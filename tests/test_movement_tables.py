@@ -6,22 +6,30 @@ tolerance — so the model is their oracle.  The fuzz below therefore
 compares with ``==`` on floats: every (chain family, candidate order)
 pair samples degenerate corners (all-ones tiles, full extents,
 quantum-off lattice points) plus seeded interior points, and asserts the
-row path and the ``(N, L)`` batch path reproduce
-``MovementModel.volume``/``usage`` and both analytic gradients exactly.
+row path and the padded ``(N, L)`` batch path — all of a model's samples
+in one batch — reproduce ``MovementModel.volume``/``usage``, a compiled
+access-group constraint and both analytic gradients exactly.
 """
 
+import gc
 import random
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
+import repro.core.tables as tables_module
 from repro.core.movement import MovementModel, algorithm1
+from repro.core.optimizer import UnifiedBufferConstraint
 from repro.core.reordering import candidate_models
 from repro.core.search import SolveMemo
 from repro.core.tables import (
     MovementTables,
     _TablesMemo,
     clear_tables_memo,
+    compile_constraint,
     movement_tables,
     tables_memo_stats,
 )
@@ -74,14 +82,30 @@ def _tile_samples(model, rng, interior=6):
     return samples
 
 
+def _unified_buffer(chain):
+    """An access-group constraint over the intermediates' producer writes,
+    of the shape ``compile_constraint`` compiles."""
+    accesses = tuple(
+        chain.producers_of(tensor)[0].access_of(tensor)
+        for tensor in chain.intermediate_tensors()
+    )
+    assert accesses
+    return UnifiedBufferConstraint(
+        chain=chain, accesses=accesses, capacity=4096.0
+    )
+
+
 @pytest.mark.parametrize("family,chain", _chains(), ids=lambda v: str(v))
 def test_tables_match_scalar_bit_for_bit(family, chain):
     rng = random.Random(f"tables-{family}")
+    constraint = _unified_buffer(chain)
     for model in _sample_models(chain):
         tables = MovementTables(model)
-        for tiles in _tile_samples(model, rng):
-            row = tables.row_of(tiles)
-            batch = np.array([row, row])
+        compiled = compile_constraint(chain, tables.index, constraint)
+        assert compiled is not None
+        samples = _tile_samples(model, rng)
+        rows = [tables.row_of(tiles) for tiles in samples]
+        for tiles, row in zip(samples, rows):
             assert tables.volume_row(row, exact=True) == model.volume(
                 tiles, exact=True
             )
@@ -89,14 +113,16 @@ def test_tables_match_scalar_bit_for_bit(family, chain):
                 tiles, exact=False
             )
             assert tables.usage_row(row) == model.usage(tiles)
-            exact_batch = tables.volume_batch(batch, exact=True)
-            smooth_batch = tables.volume_batch(batch, exact=False)
-            usage_batch = tables.usage_batch(batch)
-            assert float(exact_batch[0]) == model.volume(tiles, exact=True)
-            assert float(smooth_batch[0]) == model.volume(tiles, exact=False)
-            assert float(usage_batch[0]) == model.usage(tiles)
-            slack = tables.slack_batch(batch, 1e6)
-            assert float(slack[0]) == 1e6 - model.usage(tiles)
+            assert compiled.row(row) == constraint(tiles)
+        # Every sample scored as one multi-row batch.
+        batch = np.array(rows)
+        volumes = tables.volume_batch(batch)
+        usages = tables.usage_batch(batch)
+        slacks = compiled.batch(batch)
+        for i, (tiles, row) in enumerate(zip(samples, rows)):
+            assert float(volumes[i]) == model.volume(tiles, exact=True)
+            assert float(usages[i]) == model.usage(tiles)
+            assert float(slacks[i]) == compiled.row(row)
 
 
 @pytest.mark.parametrize("family,chain", _chains(), ids=lambda v: str(v))
@@ -227,6 +253,111 @@ def test_movement_tables_memoized_per_model_and_signature():
     other_chain = batch_gemm_chain(1, 16, 16, 16, 16, name="tbl_memo")
     other = MovementModel(other_chain, model.perm)
     assert movement_tables(other) is not first
+
+
+def test_collected_chain_leaves_the_tables_memo():
+    """Tables do not keep their chain alive, and once the chain is
+    collected its entries leave the memo (its token is never looked up
+    again)."""
+    clear_tables_memo()
+    chain = batch_gemm_chain(1, 16, 16, 16, 16, name="tbl_dead")
+    model = MovementModel(chain, ("b", "m", "l", "k", "n"))
+    movement_tables(model)
+    assert tables_memo_stats()["entries"] == 1
+    alive = weakref.ref(chain)
+    del model, chain
+    gc.collect()
+    assert alive() is None
+    assert tables_memo_stats()["entries"] == 0
+
+
+def test_chain_finalizer_never_waits_on_a_lock():
+    """The finalizer runs inside whatever code the collector interrupts,
+    here a thread while another holds the token lock: it must only queue
+    the dead chain, and the next memo call forgets it."""
+    clear_tables_memo()
+    held = [batch_gemm_chain(1, 16, 16, 16, 16, name="tbl_gc")]
+    movement_tables(MovementModel(held[0], ("b", "m", "l", "k", "n")))
+    alive = weakref.ref(held[0])
+
+    def collect():
+        held.clear()
+        gc.collect()
+
+    with tables_module._CHAIN_TOKEN_LOCK:
+        worker = threading.Thread(target=collect, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        finished = not worker.is_alive()
+    assert finished
+    assert alive() is None
+    assert tables_memo_stats()["entries"] == 0
+
+
+def test_reused_address_gets_a_fresh_token():
+    """A finalizer only queues its chain's token, so the next lookup must
+    forget queued tokens before it reads: an object born at a collected
+    chain's address never inherits that chain's token, and with it the
+    dead chain's tables."""
+
+    class Holder:  # slotted, so a new one reuses the freed block
+        __slots__ = ("a", "b", "c", "d", "e", "f", "g", "h", "__weakref__")
+
+    reused = 0
+    for _ in range(20):
+        first = Holder()
+        address, token = id(first), tables_module._chain_token(first)
+        del first
+        second = Holder()
+        if id(second) == address:
+            reused += 1
+            assert tables_module._chain_token(second) != token
+        del second
+    assert reused
+
+
+def test_chain_churn_across_threads_keeps_the_memo_consistent():
+    """Threads build and drop chains while the collector runs: every
+    lookup returns its own chain's tables, nothing waits forever, and once
+    every chain is collected the memo is empty."""
+    clear_tables_memo()
+    errors = []
+
+    def churn(seed):
+        rng = random.Random(f"churn-{seed}")
+        try:
+            for _ in range(20):
+                extent = rng.choice([8, 12, 16, 20, 24])
+                chain = batch_gemm_chain(1, extent, 16, 16, extent,
+                                         name=f"tbl_churn{seed}")
+                model = MovementModel(chain, ("b", "m", "l", "k", "n"))
+                extents = tuple(chain.loop_extents().values())
+                if movement_tables(model).extents != extents:
+                    errors.append(("foreign tables", seed, extents))
+                del chain, model
+                if rng.random() < 0.1:
+                    gc.collect()
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [
+            threading.Thread(target=churn, args=(seed,), daemon=True)
+            for seed in range(4)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        stuck = [worker for worker in workers if worker.is_alive()]
+    finally:
+        sys.setswitchinterval(interval)
+    assert not stuck
+    assert not errors, errors[:3]
+    gc.collect()
+    assert tables_memo_stats()["entries"] == 0
 
 
 def test_solve_memo_counts_evictions():

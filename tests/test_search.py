@@ -118,7 +118,7 @@ class TestMemo:
             digest,
             model,
             CAPACITY,
-            hinted=False,
+            hint=None,
             min_tiles=None,
             quanta=None,
             max_parent=None,

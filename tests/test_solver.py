@@ -144,6 +144,32 @@ class TestSolveTiles:
             )
             assert refined == solution
 
+    @pytest.mark.parametrize("reuse", [True, False])
+    @pytest.mark.parametrize(
+        "order",
+        [("m", "l", "k", "n"), ("m", "k", "l", "n"), ("l", "m", "n", "k")],
+    )
+    def test_hard_minimums_are_never_relaxed(self, order, reuse):
+        """When no lattice point fits, the fallback shrinks toward the
+        lower bounds, hard minimums included; if even the hard-minimum
+        point does not fit, the verdict is ``feasible=False`` there."""
+        chain = batch_gemm_chain(1, 512, 64, 4096, 512)
+        model = MovementModel(chain, order, reuse_intermediates=reuse)
+        capacity = 10_000.0
+        solution = solve_tiles(
+            model,
+            capacity,
+            hard_min_tiles={"k": 4096},
+            min_tiles={"m": 8, "l": 8, "k": 8, "n": 8},
+        )
+        pinned = {name: 1 for name in chain.loop_extents()}
+        pinned["k"] = 4096
+        assert model.usage(pinned) > capacity
+        assert solution.feasible is False
+        assert solution.tiles == pinned
+        assert solution.mu == model.usage(pinned)
+        assert solution.dv == model.volume(pinned, exact=True)
+
     def test_never_worse_than_the_lagrange_point(self):
         """Seeded fuzz of the paper's check over GEMM-chain shapes and
         capacities: the returned DV never exceeds the DV at the floored
