@@ -11,10 +11,10 @@ That is meant to be latency-only, so the plan must stay
 gates.
 
 A cold tile solve runs a single SLSQP start, so skipping it saves
-little: the warm/cold time ratio reads about 1.2-1.4x on the smoke
-sweep.  It is measured, printed and written to the artifact, but not
-gated — it mostly measured the cost of the cold side's former
-four-start sweep.
+little: the warm/cold time ratio reads about 1.35-1.6x on the smoke
+sweep (2-vCPU VM).  It is measured, printed and written to the
+artifact, but not gated — it mostly measured the cost of the cold
+side's former four-start sweep.
 
 This benchmark fuzzes a sweep of perturbed GEMM-chain shapes per hardware
 preset and serves each through two services:

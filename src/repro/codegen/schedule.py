@@ -30,14 +30,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import threading
-from collections import OrderedDict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..ir.access import AffineExpr
 from ..ir.operator import OperatorSpec
+from ..memo import LRUMemo
 from .program import BlockProgram
 
 
@@ -247,30 +246,18 @@ def program_digest(program: BlockProgram) -> str:
 
 
 #: Process-global digest-keyed schedule memo (LRU).
-_MEMO: "OrderedDict[str, CompiledSchedule]" = OrderedDict()
-_MEMO_LOCK = threading.Lock()
-_MEMO_MAX = 32
-_MEMO_HITS = 0
-_MEMO_MISSES = 0
+_MEMO: LRUMemo[CompiledSchedule] = LRUMemo(capacity=32)
 
 
 def schedule_memo_stats() -> Dict[str, int]:
-    """Hit/miss counters of the digest memo (observability for benches)."""
-    with _MEMO_LOCK:
-        return {
-            "entries": len(_MEMO),
-            "hits": _MEMO_HITS,
-            "misses": _MEMO_MISSES,
-        }
+    """Counters of the digest memo (observability for benches); ``misses``
+    counts the schedules built."""
+    return _MEMO.stats()
 
 
 def clear_schedule_memo() -> None:
     """Drop all memoized schedules (cold-start benchmarking)."""
-    global _MEMO_HITS, _MEMO_MISSES
-    with _MEMO_LOCK:
-        _MEMO.clear()
-        _MEMO_HITS = 0
-        _MEMO_MISSES = 0
+    _MEMO.clear()
 
 
 def compile_schedule(program: BlockProgram) -> CompiledSchedule:
@@ -280,23 +267,13 @@ def compile_schedule(program: BlockProgram) -> CompiledSchedule:
     free; the digest memo makes re-lowering the same (chain, levels) pair
     nearly free.
     """
-    global _MEMO_HITS, _MEMO_MISSES
     cached = program.__dict__.get("_compiled_schedule")
     if cached is not None:
         return cached
     digest = program_digest(program)
-    with _MEMO_LOCK:
-        schedule = _MEMO.get(digest)
-        if schedule is not None:
-            _MEMO.move_to_end(digest)
-            _MEMO_HITS += 1
-    if schedule is None:
-        schedule = _build_schedule(program, digest)
-        with _MEMO_LOCK:
-            _MEMO_MISSES += 1
-            _MEMO[digest] = schedule
-            while len(_MEMO) > _MEMO_MAX:
-                _MEMO.popitem(last=False)
+    schedule = _MEMO.get_or_compute(
+        digest, lambda: _build_schedule(program, digest)
+    )
     object.__setattr__(program, "_compiled_schedule", schedule)
     return schedule
 

@@ -47,6 +47,7 @@ from .search import (
 )
 from .solver import TileSolution, gemm_chain_closed_form, solve_tiles
 from .tables import (
+    FootprintConstraint,
     MovementTables,
     clear_tables_memo,
     movement_tables,
@@ -92,6 +93,7 @@ __all__ = [
     "TileSolution",
     "gemm_chain_closed_form",
     "solve_tiles",
+    "FootprintConstraint",
     "MovementTables",
     "clear_tables_memo",
     "movement_tables",

@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from ..hardware.spec import HardwareSpec
 from ..ir.chain import OperatorChain
-from ..ir.access import TensorAccess
-from .footprint import footprint_bytes
 from .movement import MovementModel, executed_flops
 from .plan import FusionPlan, LevelSchedule
 from .reordering import candidate_models, producer_private_reductions
@@ -33,7 +31,7 @@ from .search import (
     record_search_stats,
     search_tiles,
 )
-from .solver import ConstraintFn
+from .tables import FootprintConstraint
 from .warmstart import PlanHint
 
 
@@ -62,74 +60,6 @@ class ChimeraConfig:
     quanta: Optional[Mapping[str, int]] = None
     top_candidates: int = 64
     capacity_utilization: float = 0.75
-
-
-@dataclasses.dataclass(frozen=True)
-class UnifiedBufferConstraint:
-    """Unified Buffer footprint constraint as a hashable callable.
-
-    On the Ascend NPU, intermediate tiles between fused operators stage
-    through the Unified Buffer, so their combined footprint must fit it.
-    A frozen dataclass (rather than a closure) so constrained solves
-    carry a stable memo-key token.
-    """
-
-    chain: OperatorChain
-    accesses: Tuple[TensorAccess, ...]
-    capacity: float
-
-    def __call__(self, tiles: Mapping[str, float]) -> float:
-        usage = sum(
-            footprint_bytes(self.chain, access, tiles)
-            for access in self.accesses
-        )
-        return usage - self.capacity
-
-    def gradient(self, tiles: Mapping[str, float]) -> Dict[str, float]:
-        """Partials of ``__call__`` — the analytic SLSQP jacobian.
-
-        Exposing this method opts the constraint into analytic SLSQP
-        jacobians (the solver keys on ``hasattr``).  The footprint is a
-        product of affine spans, hence per loop::
-
-            d usage / dT_l = footprint_bytes * sum_d coeff_dl / span_d
-
-        computed in the exact operation order
-        :class:`repro.core.tables.MovementTables` replays, so the two
-        agree bit for bit.  Loops absent from the accesses are omitted
-        (callers default them to zero).
-        """
-        grad: Dict[str, float] = {}
-        for access in self.accesses:
-            spans = []
-            footprint = 1.0
-            for dim in access.dims:
-                span = 1.0
-                for name, coeff in dim.terms:
-                    span += coeff * (tiles.get(name, 1) - 1)
-                spans.append(span)
-                footprint *= span
-            fp_bytes = (
-                footprint * self.chain.tensors[access.tensor].dtype.nbytes
-            )
-            for dim, span in zip(access.dims, spans):
-                for name, coeff in dim.terms:
-                    grad[name] = grad.get(name, 0.0) + fp_bytes * (
-                        coeff / span
-                    )
-        return grad
-
-    def token(self) -> Hashable:
-        """Memo-key identity: the constrained tensors and the capacity.
-
-        The chain content itself is already part of every memo key, so the
-        token only needs to pin what *this constraint* adds.
-        """
-        return (
-            "unified_buffer",
-            self.capacity,
-            tuple(access.tensor for access in self.accesses),
-        )
 
 
 class ChimeraOptimizer:
@@ -175,8 +105,7 @@ class ChimeraOptimizer:
             a fused :class:`FusionPlan` with one schedule per on-chip level.
         """
         min_tiles = self._min_tiles(chain)
-        constraints = self.extra_constraints(chain)
-        constraints_token = self.constraints_token(constraints)
+        constraint = self.extra_constraint(chain)
         digest = chain_digest(chain)
         search_stats = SearchStats()
         unique = 0
@@ -272,8 +201,7 @@ class ChimeraOptimizer:
                 capacity,
                 min_tiles=level_min_tiles,
                 quanta=self.config.quanta,
-                constraints=constraints,
-                constraints_token=constraints_token,
+                constraint=constraint,
                 max_parent=parent_tiles,
                 hard_min_tiles=level_hard_min,
                 stats=search_stats,
@@ -335,43 +263,29 @@ class ChimeraOptimizer:
                 minimums[name] = min(value, extents[name])
         return minimums
 
-    def extra_constraints(self, chain: OperatorChain) -> Tuple[ConstraintFn, ...]:
-        """Hardware-specific feasibility constraints.
+    def extra_constraint(
+        self, chain: OperatorChain
+    ) -> Optional[FootprintConstraint]:
+        """The hardware's tile constraint beyond MU, or ``None``.
 
         On the Ascend NPU, intermediate tiles between fused operators stage
-        through the Unified Buffer, so their combined footprint must fit it
-        (the bottleneck the paper reports for large GEMMs on NPU).
+        through the Unified Buffer, so the summed footprint of their
+        producer writes must fit it (the bottleneck the paper reports for
+        large GEMMs on NPU).
         """
         if self.hardware.unified_buffer is None:
-            return ()
+            return None
         intermediates = chain.intermediate_tensors()
         if not intermediates:
-            return ()
-        producer_writes = []
-        for tensor in intermediates:
-            producer = chain.producers_of(tensor)[0]
-            producer_writes.append(producer.access_of(tensor))
-        return (
-            UnifiedBufferConstraint(
-                chain=chain,
-                accesses=tuple(producer_writes),
-                capacity=float(self.hardware.unified_buffer),
-            ),
+            return None
+        return FootprintConstraint(
+            chain,
+            [
+                chain.producers_of(tensor)[0].access_of(tensor)
+                for tensor in intermediates
+            ],
+            self.hardware.unified_buffer,
         )
-
-    @staticmethod
-    def constraints_token(
-        constraints: Sequence[ConstraintFn],
-    ) -> Optional[Hashable]:
-        """Memo-key identity of a constraint tuple; ``None`` (which disables
-        memoization for constrained solves) when any constraint lacks one."""
-        tokens = []
-        for fn in constraints:
-            token = getattr(fn, "token", None)
-            if token is None:
-                return None
-            tokens.append(token())
-        return tuple(tokens)
 
 
 def _probe_point(

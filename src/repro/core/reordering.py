@@ -366,7 +366,7 @@ class OrderSpace:
         intermediate buffers (:attr:`MovementModel.has_enlarged_buffers`)
         are left out, or kept all when every order has them.  The scores
         are one batch over the signature rows, bit-identical to each
-        order's compiled tables' ``usage_row`` and smooth ``volume_row``.
+        order's ``MovementModel.usage`` and smooth ``MovementModel.volume``.
         """
         tables = self._tables
         candidates = np.arange(len(self))

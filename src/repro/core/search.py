@@ -39,10 +39,8 @@ import math
 import pickle
 import threading
 import time
-from collections import OrderedDict
 from typing import (
     Any,
-    Callable,
     Dict,
     Hashable,
     List,
@@ -55,9 +53,10 @@ from typing import (
 import numpy as np
 
 from ..ir.chain import OperatorChain
+from ..memo import LRUMemo
 from .movement import MovementModel
-from .solver import ConstraintFn, TileSolution, solve_tiles
-from .tables import SignatureTables, compile_constraint, tables_memo_stats
+from .solver import TileSolution, solve_tiles
+from .tables import FootprintConstraint, SignatureTables, tables_memo_stats
 
 
 @dataclasses.dataclass
@@ -126,7 +125,7 @@ def chain_digest(chain: OperatorChain) -> str:
 def _bound_tiles(
     models: Sequence[MovementModel],
     capacity: float,
-    constraints: Sequence[ConstraintFn],
+    constraint: Optional[FootprintConstraint],
     max_parent: Optional[Mapping[str, int]],
 ) -> Tuple[SignatureTables, np.ndarray, np.ndarray, np.ndarray]:
     """Capacity-relaxed maximum tiles of equally long orders of one chain,
@@ -140,11 +139,12 @@ def _bound_tiles(
     Every (model, loop) pair runs its own binary search (invariant: ``lo``
     fits, ``hi`` does not), all in lockstep: each bisection step is one MU
     batch whose rows carry their model's buffer overlay, plus one batch
-    of each compiled constraint.  A constraint that does not compile is
-    called per row with the model's loops, as the scalar fallback.
+    of the constraint.  MU and the constraint are monotone in every tile,
+    which is what makes the bisection exact.
     """
-    chain = models[0].chain
-    tables = SignatureTables(chain, models[0].reuse_intermediates)
+    tables = SignatureTables(models[0].chain, models[0].reuse_intermediates)
+    if constraint is not None:
+        constraint.check_universe(tables.loop_names)
     width = len(tables.loop_names)
     rows = tables.rows_of(
         np.array(
@@ -152,23 +152,12 @@ def _bound_tiles(
             dtype=np.int64,
         ).reshape(len(models), -1)
     )
-    compiled = [
-        compile_constraint(chain, tables.index, fn) for fn in constraints
-    ]
 
     def fits(owner: np.ndarray, tiles: np.ndarray) -> np.ndarray:
-        ok = np.ones(owner.size, dtype=bool)
-        for fn, table in zip(constraints, compiled):
-            if table is not None:
-                ok &= table.batch(tiles) <= 0
-                continue
-            for r in range(owner.size):
-                perm = models[owner[r]].perm
-                if ok[r] and fn(
-                    {n: float(tiles[r, tables.index[n]]) for n in perm}
-                ) > 0:
-                    ok[r] = False
-        return (tables.usage(rows[owner], tiles) <= capacity) & ok
+        ok = tables.usage(rows[owner], tiles) <= capacity
+        if constraint is not None:
+            ok &= constraint.batch(tiles) <= 0
+        return ok
 
     feasible = fits(np.arange(len(models)), np.ones((len(models), width)))
     parent = max_parent or {}
@@ -211,14 +200,14 @@ def _bound_tiles(
 def upper_tile_bounds(
     model: MovementModel,
     capacity: float,
-    constraints: Sequence[ConstraintFn] = (),
+    constraint: Optional[FootprintConstraint] = None,
     max_parent: Optional[Mapping[str, int]] = None,
 ) -> Optional[Dict[str, int]]:
     """Per-loop capacity-relaxed maximum tiles, or ``None`` if nothing fits.
 
     For each loop the largest integer tile such that the assignment (that
     tile, every other loop at 1) satisfies the capacity bound and the extra
-    constraints.  MU and the constraint functions are coordinatewise
+    constraint.  MU and the constraint are coordinatewise
     non-decreasing in the tiles, so for *any* jointly feasible assignment
     ``T``, ``T_l`` cannot exceed this per-loop bound — the bounds form a
     box relaxation of the feasible region.  ``None`` means even all-ones
@@ -226,7 +215,7 @@ def upper_tile_bounds(
     This is the one-model case of the pass :func:`dv_lower_bounds` runs.
     """
     tables, _, feasible, tiles = _bound_tiles(
-        [model], capacity, constraints, max_parent
+        [model], capacity, constraint, max_parent
     )
     if not feasible[0]:
         return None
@@ -236,7 +225,7 @@ def upper_tile_bounds(
 def dv_lower_bound(
     model: MovementModel,
     capacity: float,
-    constraints: Sequence[ConstraintFn] = (),
+    constraint: Optional[FootprintConstraint] = None,
     max_parent: Optional[Mapping[str, int]] = None,
 ) -> float:
     """Admissible lower bound on the DV of any feasible tile assignment.
@@ -249,13 +238,13 @@ def dv_lower_bound(
     order admits no feasible tiles — such candidates only lose to a
     feasible incumbent, so pruning them is exact as well.
     """
-    return dv_lower_bounds([model], capacity, constraints, max_parent)[0]
+    return dv_lower_bounds([model], capacity, constraint, max_parent)[0]
 
 
 def dv_lower_bounds(
     models: Sequence[MovementModel],
     capacity: float,
-    constraints: Sequence[ConstraintFn] = (),
+    constraint: Optional[FootprintConstraint] = None,
     max_parent: Optional[Mapping[str, int]] = None,
 ) -> List[float]:
     """:func:`dv_lower_bound` across candidate orders (the pruning pass).
@@ -274,7 +263,7 @@ def dv_lower_bounds(
     for positions in groups.values():
         group = [models[position] for position in positions]
         tables, rows, feasible, tiles = _bound_tiles(
-            group, capacity, constraints, max_parent
+            group, capacity, constraint, max_parent
         )
         volumes = tables.volume(rows, tiles, exact=True)
         for position, fit, volume in zip(positions, feasible, volumes):
@@ -286,69 +275,12 @@ def dv_lower_bounds(
 # ----------------------------------------------------------------------
 # solve memo
 # ----------------------------------------------------------------------
-class SolveMemo:
-    """Process-global LRU of tile-size solve results.
-
-    Keys cover every input that influences :func:`solve_tiles`: the chain
-    content, the movement-model signature (equal signatures induce
-    bit-identical DV/MU functions — multiplier tuples are stored sorted),
-    capacity, bounds, quanta, whether the solve was warm-started, and a
-    caller-provided token for non-hashable extra constraints.  Entries
-    whose constraints have no token are never cached.
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, TileSolution]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    def get(self, key: Hashable) -> Optional[TileSolution]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return entry
-
-    def put(self, key: Hashable, solution: TileSolution) -> None:
-        with self._lock:
-            self._entries[key] = solution
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._hits = 0
-            self._misses = 0
-            self._evictions = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-            }
+#: Process-global LRU of tile-size solve results, keyed by
+#: :func:`memo_key` on every input that influences :func:`solve_tiles`.
+_GLOBAL_MEMO: LRUMemo[TileSolution] = LRUMemo(capacity=4096)
 
 
-_GLOBAL_MEMO = SolveMemo()
-
-
-def solve_memo() -> SolveMemo:
+def solve_memo() -> LRUMemo[TileSolution]:
     """The process-global solve memo (exposed for tests and tooling)."""
     return _GLOBAL_MEMO
 
@@ -369,15 +301,18 @@ def memo_key(
     quanta: Optional[Mapping[str, int]],
     max_parent: Optional[Mapping[str, int]],
     hard_min_tiles: Optional[Mapping[str, int]],
-    constraints_token: Optional[Hashable],
+    constraint: Optional[FootprintConstraint],
 ) -> Hashable:
     """The full solve-input key.
 
-    ``hint`` is the solve's ``x0_hint`` (``None`` for a cold solve), keyed
-    by its sorted items: a solve refined from a hint can land elsewhere
-    on the DV-flat ridge than a cold one or one refined from another hint,
-    so a search reads only entries solved from its own hint (or cold ones
-    when it is cold).
+    The chain content (``digest``), the movement-model signature (equal
+    signatures induce bit-identical DV/MU functions — multiplier tuples
+    are stored sorted), capacity, bounds, quanta and the constraint's
+    ``key``.  ``hint`` is the solve's ``x0_hint`` (``None`` for a cold
+    solve), keyed by its sorted items: a solve refined from a hint can
+    land elsewhere on the DV-flat ridge than a cold one or one refined
+    from another hint, so a search reads only entries solved from its own
+    hint (or cold ones when it is cold).
     """
     return (
         _sorted_items(hint),
@@ -388,7 +323,7 @@ def memo_key(
         _sorted_items(quanta),
         _sorted_items(max_parent),
         _sorted_items(hard_min_tiles),
-        constraints_token,
+        None if constraint is None else constraint.key,
     )
 
 
@@ -438,8 +373,7 @@ class _Solver:
         *,
         stats: SearchStats,
         digest: str,
-        constraints_token: Optional[Hashable],
-        memo: SolveMemo,
+        memo: LRUMemo[TileSolution],
         x0_hint: Optional[Mapping[str, float]] = None,
     ) -> None:
         self.capacity = capacity
@@ -451,14 +385,9 @@ class _Solver:
         self.x0_hint = dict(x0_hint) if x0_hint else None
         self.stats = stats
         self.memo = memo
-        self.constraints_token = constraints_token
         self.digest = digest
-        has_constraints = bool(solve_kwargs.get("constraints"))
-        self.memo_usable = not has_constraints or constraints_token is not None
 
-    def key_for(self, model: MovementModel) -> Optional[Hashable]:
-        if not self.memo_usable:
-            return None
+    def key_for(self, model: MovementModel) -> Hashable:
         return memo_key(
             self.digest,
             model,
@@ -468,24 +397,22 @@ class _Solver:
             quanta=self.kwargs.get("quanta"),
             max_parent=self.kwargs.get("max_parent"),
             hard_min_tiles=self.kwargs.get("hard_min_tiles"),
-            constraints_token=self.constraints_token,
+            constraint=self.kwargs.get("constraint"),
         )
 
     def solve(self, model: MovementModel) -> TileSolution:
         key = self.key_for(model)
-        if key is not None:
-            cached = self.memo.get(key)
-            if cached is not None:
-                self.stats.memo_hits += 1
-                return cached
+        cached = self.memo.get(key)
+        if cached is not None:
+            self.stats.memo_hits += 1
+            return cached
         started = time.perf_counter()
         solution = solve_tiles(
             model, self.capacity, x0_hint=self.x0_hint, **self.kwargs
         )
         self.stats.solves += 1
         self.stats.solve_seconds += time.perf_counter() - started
-        if key is not None:
-            self.memo.put(key, solution)
+        self.memo.put(key, solution)
         return solution
 
 
@@ -566,8 +493,7 @@ def search_tiles(
     *,
     min_tiles: Optional[Mapping[str, int]] = None,
     quanta: Optional[Mapping[str, int]] = None,
-    constraints: Sequence[ConstraintFn] = (),
-    constraints_token: Optional[Hashable] = None,
+    constraint: Optional[FootprintConstraint] = None,
     max_parent: Optional[Mapping[str, int]] = None,
     hard_min_tiles: Optional[Mapping[str, int]] = None,
     stats: Optional[SearchStats] = None,
@@ -583,9 +509,9 @@ def search_tiles(
     Args:
         models: candidate movement models (one per DV signature).
         capacity: per-block memory capacity in bytes.
-        constraints_token: hashable identity of ``constraints`` for the
-            memo key; with constraints present but no token, memoization is
-            disabled (safe default).
+        constraint: the extra footprint bound every solve and bound
+            honours (the NPU Unified Buffer), keyed into the memo by its
+            ``key``.
         digest: :func:`chain_digest` of the chain (computed if omitted).
         stats: accumulator to fill (also folded into the process-global
             aggregate).
@@ -616,7 +542,7 @@ def search_tiles(
     solve_kwargs = {
         "min_tiles": min_tiles,
         "quanta": quanta,
-        "constraints": tuple(constraints),
+        "constraint": constraint,
         "max_parent": max_parent,
         "hard_min_tiles": hard_min_tiles,
     }
@@ -625,13 +551,12 @@ def search_tiles(
         solve_kwargs,
         stats=local,
         digest=digest,
-        constraints_token=constraints_token,
         memo=_GLOBAL_MEMO,
         x0_hint=x0_hint,
     )
 
     started = time.perf_counter()
-    bounds = dv_lower_bounds(models, capacity, constraints, max_parent)
+    bounds = dv_lower_bounds(models, capacity, constraint, max_parent)
     bounded = list(zip(bounds, models))
     local.bound_evals += len(bounded)
     local.bound_seconds += time.perf_counter() - started

@@ -14,8 +14,8 @@ This module implements the same recipe for *arbitrary* chains:
   starts from the log-midpoint of every loop's ``[lower, upper]`` range,
   shrunk toward the lower bounds until MU fits (:func:`_project_feasible`).
   A warm start (``x0_hint``) skips SLSQP and refines from the projected
-  hint instead.  The objective and every
-  constraint feed SLSQP *analytic* log-space gradients (Algorithm 1 is a
+  hint instead.  The objective, the MU bound and the extra constraint
+  feed SLSQP *analytic* log-space gradients (Algorithm 1 is a
   product of affine spans, so the partials are closed-form) instead of
   finite differences;
 * DV/MU evaluation goes through the compiled tables of
@@ -43,11 +43,13 @@ This module implements the same recipe for *arbitrary* chains:
   scan is a local search, though: started far from the continuous
   optimum (say, at the raw log-midpoint) it can stall in a worse valley,
   which is why a cold refinement always starts from SLSQP's landing point;
-* when even all-ones tiles do not fit, the answer is those tiles marked
-  ``feasible=False``.  MU and the extra constraints are monotone in every
-  tile, so that verdict needs neither a start point nor a continuous
-  solve; likewise, when the hard-minimum point does not fit, the verdict
-  sits at that point.
+* the one extra constraint a solve may carry is a
+  :class:`~repro.core.tables.FootprintConstraint` (the NPU Unified Buffer
+  bound), compiled over the chain's loops like MU.  MU and that
+  constraint are sums of affine footprints, monotone in every tile, so
+  when all-ones tiles do not fit — or the hard-minimum point, once the
+  soft minimums are relaxed — the answer is that point marked
+  ``feasible=False``, with neither a continuous solve nor a lattice.
 """
 
 from __future__ import annotations
@@ -60,10 +62,7 @@ import numpy as np
 from scipy import optimize
 
 from .movement import MovementModel
-from .tables import TablesEvaluator, evaluator_for
-
-ConstraintFn = Callable[[Mapping[str, float]], float]
-"""Extra feasibility predicate: returns (usage - capacity); <= 0 is feasible."""
+from .tables import FootprintConstraint, TablesEvaluator, evaluator_for
 
 #: Largest 2-D grid the canonical descent's pairwise pass will score.
 #: Depends only on bounds and quanta — never on where SLSQP landed — so
@@ -87,7 +86,7 @@ class TileSolution:
             with tile 1).
         dv: exact data movement volume at ``tiles``, bytes.
         mu: exact memory usage at ``tiles``, bytes.
-        feasible: whether ``mu`` (and all extra constraints) fit capacity.
+        feasible: whether ``mu`` (and the extra constraint) fit capacity.
     """
 
     tiles: Dict[str, int]
@@ -110,7 +109,7 @@ def solve_tiles(
     *,
     min_tiles: Optional[Mapping[str, int]] = None,
     quanta: Optional[Mapping[str, int]] = None,
-    constraints: Sequence[ConstraintFn] = (),
+    constraint: Optional[FootprintConstraint] = None,
     max_parent: Optional[Mapping[str, int]] = None,
     hard_min_tiles: Optional[Mapping[str, int]] = None,
     x0_hint: Optional[Mapping[str, float]] = None,
@@ -128,10 +127,9 @@ def solve_tiles(
             clamped to the extent, never treated as infeasible.
         quanta: tile sizes are rounded to multiples of these (e.g. 16 for
             tensor-core loops); bounds are respected first.
-        constraints: extra feasibility functions (e.g. the NPU Unified
-            Buffer bound on the intermediate footprint).  A constraint
-            exposing a ``gradient(tiles)`` method gets an analytic SLSQP
-            jacobian; others fall back to finite differences.
+        constraint: an extra footprint bound (the NPU Unified Buffer bound
+            on the intermediate footprint), compiled over the chain's
+            loops; SLSQP gets its analytic jacobian.
         max_parent: per-loop upper bounds below the loop extent — used for
             inner memory levels, whose tiles nest inside the parent level's.
         hard_min_tiles: lower bounds that are never relaxed (the outer-level
@@ -142,14 +140,15 @@ def solve_tiles(
             does not name — feeds the integer refinement directly, and
             the canonical descent carries a near-optimal entry point to
             the cold solve's integer solution.  A hint is therefore meant
-            to change how fast the solve runs, not what it returns, and
-            callers keep it out of memo keys; but the descent is a local
-            search, so a far-off hint can end on a different point.
+            to change how fast the solve runs, not what it returns; but
+            the descent is a local search, so a far-off hint can end on a
+            different point (the solve memo keys hinted solves apart).
 
     Returns:
         the best feasible integer solution found; ``feasible=False`` with
         all-ones tiles if even those exceed capacity, or at the
-        hard-minimum point if that exceeds it.
+        hard-minimum point if that exceeds it.  MU and the constraint are
+        monotone in every tile, so both verdicts come before any search.
     """
     chain = model.chain
     extents = chain.loop_extents()
@@ -157,7 +156,7 @@ def solve_tiles(
     min_tiles = dict(min_tiles or {})
     hard_min_tiles = dict(hard_min_tiles or {})
     quanta = dict(quanta or {})
-    evaluator = evaluator_for(model, names, constraints)
+    evaluator = evaluator_for(model, names, constraint)
 
     upper_src = max_parent or {}
     upper = np.array(
@@ -174,13 +173,8 @@ def solve_tiles(
         # never exceed its parent tile.
         return np.minimum(np.array(values, dtype=float), upper)
 
-    def fits_vector(values: np.ndarray) -> bool:
-        if evaluator.usage(values) > capacity:
-            return False
-        return all(
-            evaluator.constraint(i, values) <= 0
-            for i in range(len(constraints))
-        )
+    def fits(values: np.ndarray) -> bool:
+        return bool(evaluator.fits_batch(values.reshape(1, -1), capacity)[0])
 
     if not names:
         values = np.ones(0)
@@ -188,23 +182,22 @@ def solve_tiles(
             _full_tiles(model, {}),
             float(evaluator.volume_exact_batch(values.reshape(1, 0))[0]),
             evaluator.usage(values),
-            fits_vector(values),
+            fits(values),
         )
 
-    lower = lower_for(min_tiles)
-    if min_tiles and not fits_vector(lower):
-        # Soft minimums don't fit: relax them and keep only the hard pins.
-        lower = lower_for({})
-
     size = len(names)
-    ones = np.ones((1, size))
-    if (
-        evaluator.usage_batch(ones)[0] > capacity
-        or not evaluator.constraints_ok_batch(ones)[0]
-    ):
-        # MU and the extra constraints are monotone in every tile, so
-        # nothing fits, whatever the start.
-        return _infeasible(model, evaluator, names, ones)
+    lower = lower_for(min_tiles)
+    if not fits(lower):
+        # MU and the extra constraint are monotone in every tile, so when
+        # the smallest legal point does not fit, nothing does, whatever
+        # the start: all-ones tiles first, then the hard minimums once the
+        # soft minimums are relaxed.
+        ones = np.ones((1, size))
+        if not fits(ones):
+            return _infeasible(model, evaluator, names, ones)
+        lower = lower_for({})
+        if not fits(lower):
+            return _infeasible(model, evaluator, names, lower.reshape(1, -1))
 
     # SLSQP evaluates the objective, the capacity slack, and their
     # jacobians at the same point in turn; share one exp(x) per point so
@@ -248,20 +241,18 @@ def solve_tiles(
     cons: List[Dict] = [
         {"type": "ineq", "fun": capacity_slack, "jac": capacity_slack_jac}
     ]
-    for idx in range(len(constraints)):
-        entry: Dict = {
+    if constraint is not None:
+        cons.append({
             "type": "ineq",
-            "fun": lambda x, i=idx: (
-                -evaluator.constraint(i, values_at(x)) * inv_capacity
+            "fun": lambda x: (
+                -evaluator.constraint_row(values_at(x)) * inv_capacity
             ),
-        }
-        if evaluator.constraint_has_gradient(idx):
-            entry["jac"] = lambda x, i=idx: (
-                -evaluator.constraint_gradient(i, values_at(x))
+            "jac": lambda x: (
+                -evaluator.constraint_gradient(values_at(x))
                 * values_at(x)
                 * inv_capacity
-            )
-        cons.append(entry)
+            ),
+        })
 
     log_lower, log_upper = np.log(lower), np.log(upper)
     if x0_hint:
@@ -305,7 +296,6 @@ def solve_tiles(
         lower,
         upper,
         quanta,
-        constraints,
         evaluator=evaluator,
     )
 
@@ -416,7 +406,6 @@ def _canonical_descent(
     lower: np.ndarray,
     upper: np.ndarray,
     quanta: Mapping[str, int],
-    constraints: Sequence[ConstraintFn],
     evaluator: TablesEvaluator,
     max_passes: int = 16,
 ) -> Tuple[float, float, Dict[str, int]]:
@@ -461,23 +450,25 @@ def _canonical_descent(
     names = list(names)
     # Raw aligned grids are a pure function of bounds, quanta and extents —
     # every start sees the same ones, so cap/skip decisions made from them
-    # are start-invariant by construction.  With no extra constraints the
+    # are start-invariant by construction.  Without an extra constraint the
     # grids shrink to ceil-bucket lower edges: each movement term is
     # piecewise constant in a multiplier loop's tile (the effective tile is
     # ``extent / trips``) and monotone increasing in footprint-only loops,
     # and MU is monotone, so within one ``ceil(extent / tile)`` bucket the
     # ``(DV, MU, tile)`` key is strictly minimized at the bucket's smallest
     # aligned value — dropping the rest cannot change any scan's argmin.
-    # An arbitrary extra constraint could make an edge infeasible while a
-    # larger in-bucket tile is feasible, so constrained solves keep the
-    # full grids.
+    # The extra constraint is monotone too, so the same holds for
+    # constrained solves, but they keep the full grids: the pair cap below
+    # is counted on the raw grids, and edge grids would let more pairs
+    # under it, which moves some constrained descents to other end points.
+    # The exact grid search meant to replace this descent settles that.
     extents = model.chain.loop_extents()
 
     def _raw_grid(idx: int) -> List[int]:
         candidates = _coordinate_candidates(
             int(lower[idx]), int(upper[idx]), quanta.get(names[idx], 1)
         )
-        if constraints:
+        if evaluator.constraint is not None:
             return candidates
         extent = int(extents[names[idx]])
         edges: List[int] = []
@@ -621,7 +612,6 @@ def _integer_refine(
     lower: np.ndarray,
     upper: np.ndarray,
     quanta: Mapping[str, int],
-    constraints: Sequence[ConstraintFn],
     evaluator: TablesEvaluator,
 ) -> TileSolution:
     """Floor/ceil lattice search around the continuous optimum.
@@ -630,10 +620,12 @@ def _integer_refine(
     the feasible points only, unless none is feasible).  The selection
     rule is the first-occurrence (in lexicographic lattice order) strict
     minimum of DV among feasible points, with the first-occurrence
-    ``(MU, DV)`` minimum as the infeasible fallback.
-    Every feasible result is then canonicalized by
-    :func:`_canonical_descent`, which erases the lattice's dependence on
-    the exact continuous landing point.
+    ``(MU, DV)`` minimum as the infeasible fallback, halved toward
+    ``lower`` until it fits.  ``lower`` must fit (:func:`solve_tiles`
+    checks it first), so the halving ends on a feasible point.
+    Every result is then canonicalized by :func:`_canonical_descent`,
+    which erases the lattice's dependence on the exact continuous landing
+    point.
     """
     candidate_values = _lattice_values(continuous, names, lower, upper, quanta)
     grids = np.meshgrid(
@@ -649,46 +641,27 @@ def _integer_refine(
     feasible_rows = np.nonzero(feasible)[0]
     if feasible_rows.size:
         best = int(feasible_rows[np.argmin(dv_all[feasible_rows])])
-        dv, mu, tiles = _canonical_descent(
-            model,
-            tiles_of(lattice[best]),
-            capacity,
-            names,
-            lower,
-            upper,
-            quanta,
-            constraints,
-            evaluator=evaluator,
-        )
-        return TileSolution(tiles, dv, mu, True)
-
-    # No feasible lattice point: halve the min-MU candidate toward the
-    # lower bounds, which include the hard minimums (never relaxed).
-    dv_all = evaluator.volume_exact_batch(lattice)
-    shrunk = lattice[int(np.lexsort((dv_all, mu_all))[0])].reshape(1, -1)
-    floor = lower.reshape(1, -1)
-    while True:
-        if (
-            evaluator.usage_batch(shrunk)[0] <= capacity
-            and evaluator.constraints_ok_batch(shrunk)[0]
-        ):
-            dv, mu, tiles = _canonical_descent(
-                model,
-                tiles_of(shrunk[0]),
-                capacity,
-                names,
-                lower,
-                upper,
-                quanta,
-                constraints,
-                evaluator=evaluator,
-            )
-            return TileSolution(tiles, dv, mu, True)
-        if (shrunk == floor).all():
-            # MU and the extra constraints are monotone in every tile, so
-            # no legal point fits: the verdict sits at the lower bounds.
-            return _infeasible(model, evaluator, names, floor)
-        shrunk = np.maximum(floor, np.floor(shrunk / 2))
+        start = lattice[best]
+    else:
+        # No feasible lattice point: halve the min-MU candidate toward the
+        # lower bounds, which include the hard minimums (never relaxed).
+        dv_all = evaluator.volume_exact_batch(lattice)
+        shrunk = lattice[int(np.lexsort((dv_all, mu_all))[0])].reshape(1, -1)
+        floor = lower.reshape(1, -1)
+        while not evaluator.fits_batch(shrunk, capacity)[0]:
+            shrunk = np.maximum(floor, np.floor(shrunk / 2))
+        start = shrunk[0]
+    dv, mu, tiles = _canonical_descent(
+        model,
+        tiles_of(start),
+        capacity,
+        names,
+        lower,
+        upper,
+        quanta,
+        evaluator=evaluator,
+    )
+    return TileSolution(tiles, dv, mu, True)
 
 
 def gemm_chain_closed_form(

@@ -9,7 +9,9 @@ for an ``(N, L)`` candidate matrix in a handful of numpy calls (the
 integer-refinement lattice and the canonical descent's batches).
 :class:`SignatureTables` evaluates the same formulas for many *orders*
 of one chain at once, from their signature rows (the order search's
-dedupe, rank probe and pruning bounds).
+dedupe, rank probe and pruning bounds).  :class:`FootprintConstraint` is
+the one extra tile constraint (the NPU Unified Buffer bound), compiled
+once per chain over the same loop columns, so it scores rows of either.
 
 **Bit-for-bit contract.**  The tables return *exactly* the floats
 :class:`MovementModel` returns, for values and gradients alike, so the
@@ -41,19 +43,18 @@ Stitched chains (:mod:`repro.ir.stitch`) compile through the same tables:
 each stitched memory-intensive op contributes ordinary MU rows (its tile
 footprint joins every access-group usage sum), its bridge tensor has no DV
 term at all (it is a chain intermediate), and the unified-buffer capacity
-constraint (:class:`_ConstraintTable`, the "capacity row") is what rejects
-tilings whose stitched intermediate tile overflows the shared buffer.
+constraint (:class:`FootprintConstraint`, the "capacity row") is what
+rejects tilings whose stitched intermediate tile overflows the shared
+buffer.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 import weakref
-from collections import OrderedDict, deque
+from collections import deque
 from typing import (
-    AbstractSet,
     Any,
     Callable,
     Deque,
@@ -68,7 +69,9 @@ from typing import (
 
 import numpy as np
 
+from ..ir.access import TensorAccess
 from ..ir.chain import OperatorChain
+from ..memo import LRUMemo
 from .movement import MovementModel, _chain_prep
 
 # ----------------------------------------------------------------------
@@ -354,55 +357,6 @@ class _AccessTable:
         self.dims = dims
 
 
-class _ConstraintTable:
-    """A compiled access-group constraint: sum of footprints - capacity."""
-
-    __slots__ = ("accesses", "capacity", "_plan")
-
-    def __init__(
-        self, accesses: Tuple[_AccessTable, ...], capacity: float
-    ) -> None:
-        self.accesses = accesses
-        self.capacity = capacity
-        self._plan: Optional[_UsagePlan] = None
-
-    def row(self, t: Sequence[float]) -> float:
-        usage = 0.0
-        for acc in self.accesses:
-            footprint = 1.0
-            for dim in acc.dims:
-                span = 1.0
-                for col, coeff in dim:
-                    span += coeff * (t[col] - 1.0)
-                footprint *= span
-            usage += footprint * acc.elem_bytes
-        return usage - self.capacity
-
-    def batch(self, rows: np.ndarray) -> np.ndarray:
-        plan = self._plan
-        if plan is None:
-            plan = self._plan = _UsagePlan((self.accesses,))
-        return _chunked(plan.totals, rows)[0] - self.capacity
-
-    def gradient_row(self, t: Sequence[float]) -> List[float]:
-        grad = [0.0] * len(t)
-        for acc in self.accesses:
-            spans = []
-            footprint = 1.0
-            for dim in acc.dims:
-                span = 1.0
-                for col, coeff in dim:
-                    span += coeff * (t[col] - 1.0)
-                spans.append(span)
-                footprint *= span
-            footprint_bytes = footprint * acc.elem_bytes
-            for dim, span in zip(acc.dims, spans):
-                for col, coeff in dim:
-                    if col >= 0:
-                        grad[col] += footprint_bytes * (coeff / span)
-        return grad
-
-
 class MovementTables:
     """A :class:`MovementModel` compiled for vectorized evaluation.
 
@@ -497,43 +451,6 @@ class MovementTables:
     def row_of(self, tiles: Mapping[str, float]) -> List[float]:
         """A full-universe row from a (possibly partial) tile mapping."""
         return [float(tiles.get(name, 1)) for name in self.loop_names]
-
-    def volume_row(self, t: Sequence[float], *, exact: bool = True) -> float:
-        """DV of one tile row."""
-        volume = 0.0
-        for term in self.terms:
-            if exact:
-                dm = term.elem_bytes
-                eff: Dict[int, float] = {}
-                for col, extent in term.mults:
-                    trips = math.ceil(extent / t[col])
-                    eff[col] = extent / trips
-                    dm *= trips
-                footprint = 1.0
-                for dim in term.dims:
-                    span = 1.0
-                    for col, coeff in dim:
-                        value = eff.get(col)
-                        if value is None:
-                            value = t[col]
-                        span += coeff * (value - 1.0)
-                    footprint *= span
-                volume += dm * footprint
-            else:
-                footprint = 1.0
-                for dim in term.dims:
-                    span = 1.0
-                    for col, coeff in dim:
-                        span += coeff * (t[col] - 1.0)
-                    footprint *= span
-                dm = footprint * term.elem_bytes
-                for col, extent in term.mults:
-                    # max(q, 1.0) clamps to an identity multiply; skipping
-                    # it is bit-exact (``x * 1.0 == x``).
-                    if extent / t[col] > 1.0:
-                        dm *= extent / t[col]
-                volume += dm
-        return volume
 
     def usage_row(self, t: Sequence[float]) -> float:
         """MU of one tile row."""
@@ -646,33 +563,95 @@ class MovementTables:
         return peak
 
 
-def compile_constraint(
-    chain: OperatorChain, index: Mapping[str, int], fn: Any
-) -> Optional[_ConstraintTable]:
-    """Compile an access-group constraint (e.g. the NPU Unified Buffer
-    bound) over the loop columns ``index`` of ``chain``, or ``None`` when
-    ``fn`` is not of that shape — callers then fall back to the scalar
-    callable, which keeps arbitrary
-    :data:`~repro.core.solver.ConstraintFn` objects working.
+class FootprintConstraint:
+    """A capacity bound on the summed footprint of an access group.
+
+    The value is ``sum(footprint_bytes) - capacity`` (``<= 0`` fits) — on
+    the Ascend NPU, the fused intermediates' producer writes against the
+    Unified Buffer (Section VI-B).  Built once per chain: its accesses are
+    compiled over ``chain.loop_extents()`` columns, the columns of both
+    :class:`MovementTables` and :class:`SignatureTables` rows.  Every
+    footprint is a product of affine spans with positive coefficients, so
+    the value is non-decreasing in every tile — the all-ones and
+    hard-minimum verdicts of :func:`repro.core.solver.solve_tiles` and the
+    bisection of :func:`repro.core.search.dv_lower_bounds` rely on that.
+
+    ``key`` is the constraint's memo-key identity: its capacity and its
+    compiled accesses (the chain itself is keyed by its digest).
     """
-    accesses = getattr(fn, "accesses", None)
-    capacity = getattr(fn, "capacity", None)
-    if accesses is None or capacity is None:
-        return None
-    if getattr(fn, "chain", None) is not chain:
-        return None
-    tables: List[_AccessTable] = []
-    try:
-        for access in accesses:
-            dims = tuple(
-                tuple((index[name], float(coeff)) for name, coeff in dim.terms)
-                for dim in access.dims
+
+    __slots__ = ("loop_names", "accesses", "capacity", "key", "_plan")
+
+    def __init__(
+        self,
+        chain: OperatorChain,
+        accesses: Sequence[TensorAccess],
+        capacity: float,
+    ) -> None:
+        self.loop_names: Tuple[str, ...] = tuple(chain.loop_extents())
+        index = {name: col for col, name in enumerate(self.loop_names)}
+        self.accesses: Tuple[_AccessTable, ...] = tuple(
+            _AccessTable(
+                float(chain.tensors[access.tensor].dtype.nbytes),
+                tuple(
+                    tuple((index[name], float(coeff)) for name, coeff in dim.terms)
+                    for dim in access.dims
+                ),
             )
-            elem_bytes = float(chain.tensors[access.tensor].dtype.nbytes)
-            tables.append(_AccessTable(elem_bytes, dims))
-    except (KeyError, AttributeError):
-        return None
-    return _ConstraintTable(tuple(tables), float(capacity))
+            for access in accesses
+        )
+        self.capacity = float(capacity)
+        self.key: Hashable = (
+            self.capacity,
+            tuple((acc.elem_bytes, acc.dims) for acc in self.accesses),
+        )
+        self._plan: Optional[_UsagePlan] = None
+
+    def check_universe(self, loop_names: Sequence[str]) -> None:
+        """Raise ``ValueError`` unless rows over ``loop_names`` are rows
+        over this constraint's columns."""
+        if tuple(loop_names) != self.loop_names:
+            raise ValueError(
+                f"constraint compiled over loops {self.loop_names} cannot "
+                f"evaluate rows over {tuple(loop_names)}"
+            )
+
+    def row(self, t: Sequence[float]) -> float:
+        usage = 0.0
+        for acc in self.accesses:
+            footprint = 1.0
+            for dim in acc.dims:
+                span = 1.0
+                for col, coeff in dim:
+                    span += coeff * (t[col] - 1.0)
+                footprint *= span
+            usage += footprint * acc.elem_bytes
+        return usage - self.capacity
+
+    def batch(self, rows: np.ndarray) -> np.ndarray:
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _UsagePlan((self.accesses,))
+        return _chunked(plan.totals, rows)[0] - self.capacity
+
+    def gradient_row(self, t: Sequence[float]) -> List[float]:
+        """Partials of :meth:`row`: ``footprint_bytes * coeff / span`` per
+        span entry, summed in :meth:`row`'s order."""
+        grad = [0.0] * len(t)
+        for acc in self.accesses:
+            spans = []
+            footprint = 1.0
+            for dim in acc.dims:
+                span = 1.0
+                for col, coeff in dim:
+                    span += coeff * (t[col] - 1.0)
+                spans.append(span)
+                footprint *= span
+            footprint_bytes = footprint * acc.elem_bytes
+            for dim, span in zip(acc.dims, spans):
+                for col, coeff in dim:
+                    grad[col] += footprint_bytes * (coeff / span)
+        return grad
 
 
 # ----------------------------------------------------------------------
@@ -834,7 +813,7 @@ class SignatureTables:
         self, rows: np.ndarray, tiles: np.ndarray, *, exact: bool = True
     ) -> np.ndarray:
         """DV of signature row ``i`` at tile row ``tiles[i]`` (as
-        :meth:`MovementTables.volume_row`)."""
+        :meth:`MovementModel.volume` of the row's order)."""
         count = rows.shape[0]
         volume = np.zeros(count)
         shifted = tiles - 1.0
@@ -907,69 +886,8 @@ class SignatureTables:
 # ----------------------------------------------------------------------
 # memoization
 # ----------------------------------------------------------------------
-class _TablesMemo:
-    """Bounded process-global LRU of compiled :class:`MovementTables`."""
-
-    def __init__(self, capacity: int = 256) -> None:
-        self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, MovementTables]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    def get_or_compile(
-        self, key: Hashable, compile_fn: Callable[[], MovementTables]
-    ) -> MovementTables:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return entry
-            self._misses += 1
-        # Compile outside the lock: compilation is pure, and a rare
-        # duplicate compile beats serializing every cache miss.
-        entry = compile_fn()
-        with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
-                return existing
-            self._entries[key] = entry
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-        return entry
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._hits = 0
-            self._misses = 0
-            self._evictions = 0
-
-    def forget(self, tokens: AbstractSet[int]) -> None:
-        """Drop the entries of collected chains (keys ``(token, ...)``)."""
-        with self._lock:
-            for key in [k for k in self._entries if k[0] in tokens]:
-                del self._entries[key]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-            }
-
-
-_GLOBAL_TABLES_MEMO = _TablesMemo()
+#: Bounded process-global LRU of compiled :class:`MovementTables`.
+_GLOBAL_TABLES_MEMO: LRUMemo[MovementTables] = LRUMemo(capacity=256)
 
 # Chains are not hashable (they hold tensor dicts), so the cross-model memo
 # key uses a per-chain token: a counter bound to the chain's lifetime.  The
@@ -1005,7 +923,8 @@ def _drain_dead_chains() -> None:
             del _CHAIN_TOKENS[address]
         tokens.add(token)
     if tokens:
-        _GLOBAL_TABLES_MEMO.forget(tokens)
+        # Memo keys are ``(chain token, signature digest)``.
+        _GLOBAL_TABLES_MEMO.forget(lambda key: key[0] in tokens)
 
 
 def _chain_token(chain: Any) -> int:
@@ -1027,7 +946,7 @@ def movement_tables(model: MovementModel) -> MovementTables:
     if tables is not None:
         return tables
     key = (_chain_token(model.chain), model.signature_digest())
-    tables = _GLOBAL_TABLES_MEMO.get_or_compile(
+    tables = _GLOBAL_TABLES_MEMO.get_or_compute(
         key, lambda: MovementTables(model)
     )
     model._tables = tables
@@ -1050,7 +969,7 @@ def clear_tables_memo() -> None:
 # solver-facing evaluators
 # ----------------------------------------------------------------------
 class TablesEvaluator:
-    """Row/batch evaluation of one solve's DV, MU and constraints.
+    """Row/batch evaluation of one solve's DV, MU and extra constraint.
 
     Vectors are tile values over ``names`` (the solve's loop order); loops
     outside ``names`` sit at 1.
@@ -1060,18 +979,16 @@ class TablesEvaluator:
         self,
         model: MovementModel,
         names: Sequence[str],
-        constraints: Sequence[Callable[[Mapping[str, float]], float]] = (),
+        constraint: Optional[FootprintConstraint] = None,
     ) -> None:
         self.tables = movement_tables(model)
+        if constraint is not None:
+            constraint.check_universe(self.tables.loop_names)
+        self.constraint = constraint
         self.names = list(names)
         self.cols = [self.tables.index[n] for n in self.names]
         self._cols_arr = np.array(self.cols, dtype=np.intp)
         self._width = len(self.tables.loop_names)
-        self.constraints = list(constraints)
-        self._compiled = [
-            compile_constraint(model.chain, self.tables.index, fn)
-            for fn in constraints
-        ]
         # One SLSQP point is evaluated by several closures (objective,
         # capacity slack, jacobians); the solver hands them the *same*
         # values array per point, so the expanded row is cached by object
@@ -1113,27 +1030,12 @@ class TablesEvaluator:
         usage, grad = self.tables.usage_gradient_row(self._row(values))
         return usage, np.array([grad[c] for c in self.cols])
 
-    def _scalar_tiles(self, values: Sequence[float]) -> Dict[str, float]:
-        return {n: float(v) for n, v in zip(self.names, values)}
+    def constraint_row(self, values: Sequence[float]) -> float:
+        return self.constraint.row(self._row(values))
 
-    def constraint(self, i: int, values: Sequence[float]) -> float:
-        compiled = self._compiled[i]
-        if compiled is not None:
-            return compiled.row(self._row(values))
-        return self.constraints[i](self._scalar_tiles(values))
-
-    def constraint_has_gradient(self, i: int) -> bool:
-        return hasattr(self.constraints[i], "gradient")
-
-    def constraint_gradient(
-        self, i: int, values: Sequence[float]
-    ) -> np.ndarray:
-        compiled = self._compiled[i]
-        if compiled is not None:
-            grad = compiled.gradient_row(self._row(values))
-            return np.array([grad[c] for c in self.cols])
-        grad_map = self.constraints[i].gradient(self._scalar_tiles(values))
-        return np.array([grad_map.get(n, 0.0) for n in self.names])
+    def constraint_gradient(self, values: Sequence[float]) -> np.ndarray:
+        grad = self.constraint.gradient_row(self._row(values))
+        return np.array([grad[c] for c in self.cols])
 
     # -- batched helpers (lattice refinement, canonical descent) --------
     def volume_exact_batch(self, values: np.ndarray) -> np.ndarray:
@@ -1142,11 +1044,10 @@ class TablesEvaluator:
     def usage_batch(self, values: np.ndarray) -> np.ndarray:
         return self.tables.usage_batch(self.matrix(values))
 
-    def constraints_ok_batch(self, values: np.ndarray) -> np.ndarray:
-        """Per-row conjunction ``all(fn(tiles) <= 0)`` over the extras."""
-        if not self.constraints:
-            return np.ones(values.shape[0], dtype=bool)
-        return self._constraints_ok(values, self.matrix(values))
+    def fits_batch(self, values: np.ndarray, capacity: float) -> np.ndarray:
+        """Per row, whether MU and the extra constraint fit."""
+        rows = self.matrix(values)
+        return (self.tables.usage_batch(rows) <= capacity) & self._fits(rows)
 
     def score_batch(
         self, values: np.ndarray, capacity: float
@@ -1155,31 +1056,23 @@ class TablesEvaluator:
         is exact where feasible and NaN elsewhere (never selected)."""
         rows = self.matrix(values)
         mu = self.tables.usage_batch(rows)
-        ok = (mu <= capacity) & self._constraints_ok(values, rows)
+        ok = (mu <= capacity) & self._fits(rows)
         dv = np.full(values.shape[0], np.nan)
         if ok.any():
             dv[ok] = self.tables.volume_batch(rows[ok])
         return dv, mu, ok
 
-    def _constraints_ok(
-        self, values: np.ndarray, rows: np.ndarray
-    ) -> np.ndarray:
-        ok = np.ones(values.shape[0], dtype=bool)
-        for i, fn in enumerate(self.constraints):
-            compiled = self._compiled[i]
-            if compiled is not None:
-                ok &= compiled.batch(rows) <= 0
-            else:
-                for r in range(values.shape[0]):
-                    if ok[r] and fn(self._scalar_tiles(values[r])) > 0:
-                        ok[r] = False
-        return ok
+    def _fits(self, rows: np.ndarray) -> np.ndarray:
+        """Per full-universe row, whether the extra constraint fits."""
+        if self.constraint is None:
+            return np.ones(rows.shape[0], dtype=bool)
+        return self.constraint.batch(rows) <= 0
 
 
 def evaluator_for(
     model: MovementModel,
     names: Sequence[str],
-    constraints: Sequence[Callable[[Mapping[str, float]], float]] = (),
+    constraint: Optional[FootprintConstraint] = None,
 ) -> TablesEvaluator:
     """The evaluator one tile solve runs on."""
-    return TablesEvaluator(model, names, constraints)
+    return TablesEvaluator(model, names, constraint)

@@ -84,9 +84,6 @@ class ChainHints:
     fused: Optional[PlanHint] = None
     unfused: Mapping[str, PlanHint] = dataclasses.field(default_factory=dict)
 
-    def for_op(self, name: str) -> Optional[PlanHint]:
-        return self.unfused.get(name)
-
 
 def plan_hint_from_dict(data: Optional[Dict[str, Any]]) -> Optional[PlanHint]:
     """Extract a :class:`PlanHint` from a serialized plan dict.

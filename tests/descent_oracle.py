@@ -13,7 +13,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.core.movement import MovementModel
-from repro.core.solver import ConstraintFn, _PAIR_SCAN_CAP, _coordinate_candidates
+from repro.core.solver import _PAIR_SCAN_CAP, _coordinate_candidates
 from repro.core.tables import TablesEvaluator
 
 
@@ -25,7 +25,6 @@ def sequential_descent(
     lower: np.ndarray,
     upper: np.ndarray,
     quanta: Mapping[str, int],
-    constraints: Sequence[ConstraintFn],
     evaluator: TablesEvaluator,
     max_passes: int = 16,
 ) -> Tuple[float, float, Dict[str, int]]:
@@ -40,23 +39,22 @@ def sequential_descent(
     names = list(names)
     # Raw aligned grids are a pure function of bounds, quanta and extents —
     # every start sees the same ones, so cap/skip decisions made from them
-    # are start-invariant by construction.  With no extra constraints the
+    # are start-invariant by construction.  Without an extra constraint the
     # grids shrink to ceil-bucket lower edges: each movement term is
     # piecewise constant in a multiplier loop's tile (the effective tile is
     # ``extent / trips``) and monotone increasing in footprint-only loops,
     # and MU is monotone, so within one ``ceil(extent / tile)`` bucket the
     # ``(DV, MU, tile)`` key is strictly minimized at the bucket's smallest
     # aligned value — dropping the rest cannot change any scan's argmin.
-    # An arbitrary extra constraint could make an edge infeasible while a
-    # larger in-bucket tile is feasible, so constrained solves keep the
-    # full grids.
+    # Constrained solves keep the full grids, as the solver does (the pair
+    # cap is counted on them).
     extents = model.chain.loop_extents()
 
     def _raw_grid(idx: int) -> List[int]:
         candidates = _coordinate_candidates(
             int(lower[idx]), int(upper[idx]), quanta.get(names[idx], 1)
         )
-        if constraints:
+        if evaluator.constraint is not None:
             return candidates
         extent = int(extents[names[idx]])
         edges: List[int] = []
@@ -79,7 +77,9 @@ def sequential_descent(
         """(dv, mu, feasible) per row; dv is NaN on infeasible rows (never
         consulted — feasible rows only)."""
         mu = evaluator.usage_batch(rows)
-        ok = (mu <= capacity) & evaluator.constraints_ok_batch(rows)
+        ok = mu <= capacity
+        if evaluator.constraint is not None:
+            ok &= evaluator.constraint.batch(evaluator.matrix(rows)) <= 0
         dv = np.full(rows.shape[0], np.nan)
         if ok.any():  # exact DV only where it can be selected
             dv[ok] = evaluator.volume_exact_batch(rows[ok])

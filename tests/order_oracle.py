@@ -139,8 +139,8 @@ def candidate_models_reference(
     return models, groups, enumerated, constrained_count(chain, prefix)
 
 
-def probe_row_reference(models, min_tiles, capacity, parent_tiles):
-    """The rank probe's tile row (``repro.core.optimizer._probe_point``)."""
+def probe_point_reference(models, min_tiles, capacity, parent_tiles):
+    """The rank probe's tiles (``repro.core.optimizer._probe_point``)."""
     chain = models[0].chain
     extents = chain.loop_extents()
     elem_bytes = max(spec.dtype.nbytes for spec in chain.tensors.values())
@@ -152,20 +152,26 @@ def probe_row_reference(models, min_tiles, capacity, parent_tiles):
         probe[name] = float(
             max(min(min_tiles.get(name, 1), bound), min(bound, side))
         )
+    return probe
+
+
+def probe_row_reference(models, min_tiles, capacity, parent_tiles):
+    """The rank probe's tile row over the chain's loop universe."""
+    probe = probe_point_reference(models, min_tiles, capacity, parent_tiles)
     return movement_tables(models[0]).row_of(probe)
 
 
 def probe_scores_reference(models, min_tiles, capacity, parent_tiles):
-    """``(over capacity, smooth DV)`` of every model at the probe row,
-    each through its own compiled tables."""
-    row = probe_row_reference(models, min_tiles, capacity, parent_tiles)
+    """``(over capacity, smooth DV)`` of every model at the probe point:
+    MU through its own compiled tables, DV through the model."""
+    probe = probe_point_reference(models, min_tiles, capacity, parent_tiles)
+    row = movement_tables(models[0]).row_of(probe)
     scores = []
     for model in models:
-        tables = movement_tables(model)
         scores.append(
             (
-                0 if tables.usage_row(row) <= capacity else 1,
-                tables.volume_row(row, exact=False),
+                0 if movement_tables(model).usage_row(row) <= capacity else 1,
+                model.volume(probe, exact=False),
             )
         )
     return scores
@@ -183,7 +189,7 @@ def probe_rank_reference(models, min_tiles, capacity, parent_tiles):
 
 
 def upper_tile_bounds_reference(
-    model, capacity, constraints=(), max_parent=None
+    model, capacity, constraint=None, max_parent=None
 ):
     """Per-loop capacity-relaxed maximum tiles of one model, bisected over
     its own compiled tables."""
@@ -191,12 +197,10 @@ def upper_tile_bounds_reference(
     parent = max_parent or {}
     names = list(model.perm)
     width = len(names)
-    evaluator = TablesEvaluator(model, names, constraints)
+    evaluator = TablesEvaluator(model, names, constraint)
 
     def fits(values):
-        return (
-            evaluator.usage_batch(values) <= capacity
-        ) & evaluator.constraints_ok_batch(values)
+        return evaluator.fits_batch(values, capacity)
 
     if not bool(fits(np.ones((1, width)))[0]):
         return None
@@ -226,12 +230,11 @@ def upper_tile_bounds_reference(
     }
 
 
-def dv_lower_bound_reference(model, capacity, constraints=(), max_parent=None):
+def dv_lower_bound_reference(model, capacity, constraint=None, max_parent=None):
     """Exact DV at :func:`upper_tile_bounds_reference`, ``inf`` if none."""
     bounds = upper_tile_bounds_reference(
-        model, capacity, constraints, max_parent
+        model, capacity, constraint, max_parent
     )
     if bounds is None:
         return math.inf
-    tables = movement_tables(model)
-    return tables.volume_row(tables.row_of(bounds))
+    return model.volume(bounds, exact=True)

@@ -24,8 +24,7 @@ def exhaustive_search_tiles(
     *,
     min_tiles=None,
     quanta=None,
-    constraints=(),
-    constraints_token=None,
+    constraint=None,
     max_parent=None,
     hard_min_tiles=None,
     stats=None,
@@ -35,9 +34,9 @@ def exhaustive_search_tiles(
 ):
     """:func:`~repro.core.search.search_tiles` by solving every candidate.
 
-    Takes ``search_tiles``'s arguments; ``constraints_token``, ``digest``
-    and ``incumbent_hint`` only steer the memo and the solve sequence, so
-    the oracle ignores them.  ``stats`` counts one search and one solve
+    Takes ``search_tiles``'s arguments; ``digest`` and ``incumbent_hint``
+    only steer the memo and the solve sequence, so the oracle ignores
+    them.  ``stats`` counts one search and one solve
     per candidate.
     """
     if not models:
@@ -51,7 +50,7 @@ def exhaustive_search_tiles(
                 capacity,
                 min_tiles=min_tiles,
                 quanta=quanta,
-                constraints=tuple(constraints),
+                constraint=constraint,
                 max_parent=max_parent,
                 hard_min_tiles=hard_min_tiles,
                 x0_hint=dict(x0_hint) if x0_hint else None,

@@ -13,14 +13,13 @@ scores one scan at a time.  Both must return the same ``(dv, mu, tiles)``
 
 The solves cover GEMM, batch GEMM with and without softmax, conv with
 1x1 and 3x3 kernels and an MLP, at tight, medium and loose capacities,
-plain and with quanta, ascend-910's Unified Buffer constraint, a
-constraint that does not compile (scored row by row) and an inner level
-under ``max_parent`` with ``hard_min_tiles``.  Every comparison runs at
+plain and with quanta, ascend-910's Unified Buffer constraint (tightened
+until it binds) and an inner level under ``max_parent`` with
+``hard_min_tiles``.  Every comparison runs at
 the default batch row cap and at a cap of a few rows, which splits every
 pass into many batches.
 """
 
-import dataclasses
 import math
 import random
 from unittest import mock
@@ -31,6 +30,7 @@ import repro.core.solver as solver
 from repro.core.movement import MovementModel
 from repro.core.optimizer import ChimeraOptimizer
 from repro.core.reordering import candidate_models
+from repro.core.tables import FootprintConstraint
 from repro.hardware import preset
 from repro.ir.chains import batch_gemm_chain, conv_chain, gemm_chain, mlp_chain
 from tests.descent_oracle import sequential_descent
@@ -46,7 +46,7 @@ CHAINS = {
     "mlp": lambda: mlp_chain(48, 40, 96, 32),
 }
 
-SCENARIOS = ("plain", "quanta", "unified_buffer", "scalar", "inner_level")
+SCENARIOS = ("plain", "quanta", "unified_buffer", "inner_level")
 
 #: A batch row cap small enough to split every pass into many batches.
 TINY_CAP = 7
@@ -86,22 +86,18 @@ def _solve_kwargs(scenario, model, capacity):
             "min_tiles": {name: 4 for name in names},
         }
     if scenario == "unified_buffer":
-        hw = preset("ascend-910")
-        constraints = ChimeraOptimizer(hw).extra_constraints(chain)
-        assert constraints, "every test chain has an intermediate"
-        # The preset's buffer and a copy tight enough to bind here.
+        ub = ChimeraOptimizer(preset("ascend-910")).extra_constraint(chain)
+        assert ub is not None, "every test chain has an intermediate"
+        # The preset's buffer, tightened until it binds here.
+        writes = [
+            chain.producers_of(tensor)[0].access_of(tensor)
+            for tensor in chain.intermediate_tensors()
+        ]
         return {
-            "constraints": constraints
-            + (dataclasses.replace(constraints[0], capacity=capacity / 3),)
+            "constraint": FootprintConstraint(
+                chain, writes, min(ub.capacity, capacity / 3)
+            )
         }
-    if scenario == "scalar":
-        first, second = names[0], names[-1]
-        limit = math.sqrt(extents[first] * extents[second]) * 4
-
-        def bound(tiles):
-            return tiles[first] * tiles[second] - limit
-
-        return {"constraints": (bound,)}
     assert scenario == "inner_level"
     rng = random.Random(f"parent-{chain.name}-{capacity}")
     parent = {n: rng.randint(max(1, extents[n] // 3), extents[n]) for n in names}
@@ -172,13 +168,8 @@ def test_batched_descent_matches_sequential(family, scenario):
     chain = CHAINS[family]()
     rng = random.Random(f"descent-{family}-{scenario}")
     compared = 0
-    models, capacities = _models(chain), _capacities
-    if scenario == "scalar":
-        # The scalar constraint runs once per scored row: one order and the
-        # medium capacity keep the case short.
-        models, capacities = models[:1], lambda m: _capacities(m)[1:2]
-    for model in models:
-        for capacity in capacities(model):
+    for model in _models(chain):
+        for capacity in _capacities(model):
             kwargs = _solve_kwargs(scenario, model, capacity)
             calls = _recorded(model, capacity, **kwargs)
             for hint in _hints(model, rng):
@@ -196,10 +187,8 @@ def test_pass_above_the_batch_row_cap():
     scored in several batches."""
     chain = batch_gemm_chain(1, 4096, 64, 64, 4096, name="descent_wide")
     model = MovementModel(chain, ("b", "m", "l", "k", "n"))
-    constraints = ChimeraOptimizer(preset("ascend-910")).extra_constraints(
-        chain
-    )
-    calls = _recorded(model, 512 * 1024.0, constraints=constraints)
+    constraint = ChimeraOptimizer(preset("ascend-910")).extra_constraint(chain)
+    calls = _recorded(model, 512 * 1024.0, constraint=constraint)
     assert calls
     args, kw = calls[0]
     lower, upper = args[4], args[5]

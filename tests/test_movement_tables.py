@@ -7,8 +7,9 @@ compares with ``==`` on floats: every (chain family, candidate order)
 pair samples degenerate corners (all-ones tiles, full extents,
 quantum-off lattice points) plus seeded interior points, and asserts the
 row path and the padded ``(N, L)`` batch path — all of a model's samples
-in one batch — reproduce ``MovementModel.volume``/``usage``, a compiled
-access-group constraint and both analytic gradients exactly.
+in one batch — reproduce ``MovementModel.volume``/``usage`` and both
+analytic gradients exactly, and a :class:`FootprintConstraint`'s row,
+batch and gradient reproduce a footprint sum written here.
 """
 
 import gc
@@ -21,19 +22,29 @@ import numpy as np
 import pytest
 
 import repro.core.tables as tables_module
+from repro.core.footprint import footprint_bytes
 from repro.core.movement import MovementModel, algorithm1
-from repro.core.optimizer import UnifiedBufferConstraint
 from repro.core.reordering import candidate_models
-from repro.core.search import SolveMemo
+from repro.core.search import dv_lower_bounds
 from repro.core.tables import (
+    FootprintConstraint,
     MovementTables,
-    _TablesMemo,
+    SignatureTables,
     clear_tables_memo,
-    compile_constraint,
+    evaluator_for,
     movement_tables,
     tables_memo_stats,
 )
-from repro.ir.chains import batch_gemm_chain, conv_chain, gemm_chain
+from repro.ir.chains import (
+    attention_chain,
+    batch_gemm_chain,
+    conv_chain,
+    conv_tower,
+    gemm_chain,
+    mlp_chain,
+    separable_chain,
+)
+from repro.memo import LRUMemo
 from repro.workloads import gemm_chain_config
 
 
@@ -82,47 +93,129 @@ def _tile_samples(model, rng, interior=6):
     return samples
 
 
-def _unified_buffer(chain):
-    """An access-group constraint over the intermediates' producer writes,
-    of the shape ``compile_constraint`` compiles."""
-    accesses = tuple(
+def _drawn_samples(family, chain):
+    """``(model, tile samples)`` per sampled order, from one seeded draw
+    per chain family."""
+    rng = random.Random(f"tables-{family}")
+    return [(model, _tile_samples(model, rng)) for model in _sample_models(chain)]
+
+
+def _producer_writes(chain):
+    """The intermediates' producer writes: the Unified Buffer's group."""
+    return [
         chain.producers_of(tensor)[0].access_of(tensor)
         for tensor in chain.intermediate_tensors()
-    )
-    assert accesses
-    return UnifiedBufferConstraint(
-        chain=chain, accesses=accesses, capacity=4096.0
-    )
+    ]
+
+
+def _footprint_sum(chain, accesses, tiles, capacity):
+    """``sum(footprint_bytes) - capacity`` and its partials per loop.
+
+    Sums one access at a time: Python 3.12's ``sum`` compensates float
+    rounding, which a sequential reference must not."""
+    usage = 0.0
+    grad = {}
+    for access in accesses:
+        usage += footprint_bytes(chain, access, tiles)
+        spans = [dim.footprint(tiles) for dim in access.dims]
+        fp_bytes = footprint_bytes(chain, access, tiles)
+        for dim, span in zip(access.dims, spans):
+            for name, coeff in dim.terms:
+                grad[name] = grad.get(name, 0.0) + fp_bytes * (coeff / span)
+    return usage - capacity, grad
 
 
 @pytest.mark.parametrize("family,chain", _chains(), ids=lambda v: str(v))
 def test_tables_match_scalar_bit_for_bit(family, chain):
-    rng = random.Random(f"tables-{family}")
-    constraint = _unified_buffer(chain)
-    for model in _sample_models(chain):
+    for model, samples in _drawn_samples(family, chain):
         tables = MovementTables(model)
-        compiled = compile_constraint(chain, tables.index, constraint)
-        assert compiled is not None
-        samples = _tile_samples(model, rng)
         rows = [tables.row_of(tiles) for tiles in samples]
         for tiles, row in zip(samples, rows):
-            assert tables.volume_row(row, exact=True) == model.volume(
-                tiles, exact=True
-            )
-            assert tables.volume_row(row, exact=False) == model.volume(
-                tiles, exact=False
-            )
             assert tables.usage_row(row) == model.usage(tiles)
-            assert compiled.row(row) == constraint(tiles)
         # Every sample scored as one multi-row batch.
         batch = np.array(rows)
         volumes = tables.volume_batch(batch)
         usages = tables.usage_batch(batch)
-        slacks = compiled.batch(batch)
-        for i, (tiles, row) in enumerate(zip(samples, rows)):
+        for i, tiles in enumerate(samples):
             assert float(volumes[i]) == model.volume(tiles, exact=True)
             assert float(usages[i]) == model.usage(tiles)
-            assert float(slacks[i]) == compiled.row(row)
+
+
+@pytest.mark.parametrize("family,chain", _chains(), ids=lambda v: str(v))
+def test_footprint_constraint_matches_footprint_sum(family, chain):
+    """Row, batch and gradient of the compiled constraint equal, bit for
+    bit, the footprint sum over the producer writes and its partials, on
+    the tiles the tables test draws."""
+    writes = _producer_writes(chain)
+    assert writes
+    constraint = FootprintConstraint(chain, writes, 4096.0)
+    for model, samples in _drawn_samples(family, chain):
+        tables = MovementTables(model)
+        rows = [tables.row_of(tiles) for tiles in samples]
+        slacks = constraint.batch(np.array(rows))
+        for i, (tiles, row) in enumerate(zip(samples, rows)):
+            slack, grad = _footprint_sum(chain, writes, tiles, 4096.0)
+            assert constraint.row(row) == slack
+            assert float(slacks[i]) == slack
+            partials = constraint.gradient_row(row)
+            for name, col in tables.index.items():
+                assert partials[col] == grad.get(name, 0.0)
+
+
+#: One small chain per family, for properties that hold for all of them.
+FAMILIES = {
+    "gemm": lambda: gemm_chain(48, 40, 32, 56),
+    "batch_gemm": lambda: batch_gemm_chain(2, 32, 24, 16, 40),
+    "batch_gemm_softmax": lambda: batch_gemm_chain(
+        2, 32, 24, 16, 40, with_softmax=True
+    ),
+    "attention": lambda: attention_chain(2, 48, 16),
+    "conv": lambda: conv_chain(1, 8, 14, 14, 12, 8, 1, 1, 3, 3),
+    "conv_stride": lambda: conv_chain(1, 8, 16, 16, 12, 8, 2, 1, 3, 1),
+    "separable": lambda: separable_chain(1, 8, 14, 14, 12, with_relu=True),
+    "conv_tower": lambda: conv_tower(1, 8, 12, 12, (8, 8, 12), (3, 1, 3)),
+    "mlp": lambda: mlp_chain(24, 16, 48, 16),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_footprint_constraint_is_monotone_in_every_tile(family):
+    """Growing any one tile never lowers the constraint's value — the
+    property the solver's verdicts and the bound bisection rely on."""
+    chain = FAMILIES[family]()
+    constraint = FootprintConstraint(chain, _producer_writes(chain), 0.0)
+    extents = np.array(list(chain.loop_extents().values()), dtype=float)
+    rng = np.random.default_rng(sum(map(ord, family)))
+    base = np.floor(rng.uniform(1.0, extents + 1.0, (64, len(extents))))
+    values = constraint.batch(base)
+    for col, extent in enumerate(extents):
+        grown = base.copy()
+        grown[:, col] = np.floor(rng.uniform(base[:, col], extent + 1.0))
+        assert (constraint.batch(grown) >= values).all(), family
+        # Real-valued tiles too: SLSQP evaluates between integers.
+        grown[:, col] = rng.uniform(base[:, col], extent)
+        assert (constraint.batch(grown) >= values).all(), family
+
+
+def test_constraint_rejects_another_loop_universe():
+    """A constraint compiled for one chain's loops cannot score the rows
+    of a chain with other loops, from the solver or the bounds."""
+    gemm = gemm_chain(48, 40, 32, 56)
+    conv = conv_chain(1, 8, 14, 14, 12, 8, 1, 1, 3, 3)
+    constraint = FootprintConstraint(gemm, _producer_writes(gemm), 4096.0)
+    model = candidate_models(conv).models[0]
+    with pytest.raises(ValueError, match="loops"):
+        evaluator_for(model, list(model.perm), constraint)
+    with pytest.raises(ValueError, match="loops"):
+        dv_lower_bounds([model], 1e9, constraint)
+    # Its own chain's tables pass; the same loops in another order are
+    # another universe.
+    constraint.check_universe(
+        movement_tables(candidate_models(gemm).models[0]).loop_names
+    )
+    constraint.check_universe(SignatureTables(gemm, True).loop_names)
+    with pytest.raises(ValueError, match="loops"):
+        constraint.check_universe(constraint.loop_names[::-1])
 
 
 @pytest.mark.parametrize("family,chain", _chains(), ids=lambda v: str(v))
@@ -190,7 +283,6 @@ def test_gemm_chain_movement_pinned_per_order(order):
     literal_dv, literal_mu = algorithm1(chain, perm, tiles)
     assert literal_dv == dv
     assert model.volume(tiles, exact=True) == dv
-    assert tables.volume_row(row) == dv
     assert float(tables.volume_batch(batch)[0]) == dv
     assert model.usage(tiles) == mu
     assert tables.usage_row(row) == mu
@@ -225,15 +317,15 @@ def test_volume_gradient_agrees_with_finite_differences():
 
 
 def test_tables_memo_is_a_bounded_lru():
-    memo = _TablesMemo(capacity=2)
-    memo.get_or_compile("a", lambda: "A")
-    memo.get_or_compile("b", lambda: "B")
-    assert memo.get_or_compile("a", lambda: "A2") == "A"  # hit refreshes
-    memo.get_or_compile("c", lambda: "C")  # evicts "b" (least recent)
+    memo = LRUMemo(capacity=2)
+    memo.get_or_compute("a", lambda: "A")
+    memo.get_or_compute("b", lambda: "B")
+    assert memo.get_or_compute("a", lambda: "A2") == "A"  # hit refreshes
+    memo.get_or_compute("c", lambda: "C")  # evicts "b" (least recent)
     stats = memo.stats()
     assert stats["evictions"] == 1
     assert stats["entries"] == 2
-    assert memo.get_or_compile("b", lambda: "B2") == "B2"  # b was evicted
+    assert memo.get_or_compute("b", lambda: "B2") == "B2"  # b was evicted
     assert memo.stats()["misses"] == 4
 
 
@@ -361,7 +453,7 @@ def test_chain_churn_across_threads_keeps_the_memo_consistent():
 
 
 def test_solve_memo_counts_evictions():
-    memo = SolveMemo(capacity=1)
+    memo = LRUMemo(capacity=1)
     memo.put("k1", "v1")
     memo.put("k2", "v2")
     stats = memo.stats()

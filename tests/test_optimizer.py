@@ -5,6 +5,7 @@ from unittest import mock
 
 import pytest
 
+from repro.core.footprint import footprint_bytes
 from repro.core.movement import MovementModel
 from repro.core.optimizer import ChimeraConfig, ChimeraOptimizer
 from repro.core.search import SearchStats, solve_memo
@@ -100,12 +101,18 @@ class TestOptimizer:
         hw = ascend_910()
         chain = batch_gemm_chain(1, 1024, 64, 64, 1024)
         optimizer = ChimeraOptimizer(hw)
-        constraints = optimizer.extra_constraints(chain)
-        assert len(constraints) == 1
+        assert optimizer.extra_constraint(chain) is not None
         plan = optimizer.optimize(chain)
         # The intermediate tile must fit the Unified Buffer.
-        for fn in constraints:
-            assert fn(dict(plan.inner.tiles)) <= 0
+        writes = [
+            chain.producers_of(tensor)[0].access_of(tensor)
+            for tensor in chain.intermediate_tensors()
+        ]
+        buffered = sum(
+            footprint_bytes(chain, access, plan.inner.tiles)
+            for access in writes
+        )
+        assert buffered <= hw.unified_buffer
 
     def test_conv_chain_plannable(self, cpu):
         chain = conv_chain(1, 64, 56, 56, 128, 64, 1, 1, 3, 1)

@@ -237,36 +237,26 @@ def test_probe_scores_and_rank_match_compiled_tables(chain):
                 ]
 
 
-def _scalar_budget(chain):
-    """A constraint that does not compile: the scalar fallback path."""
-    extents = chain.loop_extents()
-
-    def budget(tiles):
-        return sum(tiles.values()) - 0.5 * sum(extents.values())
-
-    return budget
-
-
 def _bound_cases(chain):
-    ub = ChimeraOptimizer(ascend_910()).extra_constraints(chain)
+    ub = ChimeraOptimizer(ascend_910()).extra_constraint(chain)
     return [
-        ((), None),
+        (None, None),
         (ub, None),
         (ub, _parent(chain, 4)),
-        ((_scalar_budget(chain),) + tuple(ub), _parent(chain, 2)),
+        (ub, _parent(chain, 2)),
     ]
 
 
-def _check_bounds(models, capacity, constraints, parent):
-    bounds = dv_lower_bounds(models, capacity, constraints, parent)
+def _check_bounds(models, capacity, constraint, parent):
+    bounds = dv_lower_bounds(models, capacity, constraint, parent)
     assert bounds == [
-        dv_lower_bound_reference(m, capacity, constraints, parent)
+        dv_lower_bound_reference(m, capacity, constraint, parent)
         for m in models
     ]
     for model in models[:4]:
         assert upper_tile_bounds(
-            model, capacity, constraints, parent
-        ) == upper_tile_bounds_reference(model, capacity, constraints, parent)
+            model, capacity, constraint, parent
+        ) == upper_tile_bounds_reference(model, capacity, constraint, parent)
     return bounds
 
 
@@ -277,9 +267,9 @@ def test_bounds_match_per_model_bisection(chain):
         models = candidate_models(chain, reuse_intermediates=reuse).models
         # Every signature of small spaces; an even spread of large ones.
         models = models[:: max(1, len(models) // 24)]
-        for constraints, parent in _bound_cases(chain):
+        for constraint, parent in _bound_cases(chain):
             for capacity in CAPACITIES:
-                bounds = _check_bounds(models, capacity, constraints, parent)
+                bounds = _check_bounds(models, capacity, constraint, parent)
                 finite += sum(1 for b in bounds if not math.isinf(b))
                 if capacity == CAPACITIES[0]:
                     assert all(math.isinf(b) for b in bounds)
@@ -292,9 +282,9 @@ def test_two_3x3_conv_bounds_match_per_model_bisection():
     probe = _probe_point(TWO_3X3, min_tiles, 96 * 1024.0, None)
     ranked = space.ranked(probe, 96 * 1024.0, allow_enlarged=True)
     models = [space.model(i) for i in ranked[:64]]
-    for constraints, parent in _bound_cases(TWO_3X3):
+    for constraint, parent in _bound_cases(TWO_3X3):
         for capacity in CAPACITIES:
-            _check_bounds(models, capacity, constraints, parent)
+            _check_bounds(models, capacity, constraint, parent)
 
 
 def test_bounds_of_mixed_chains_keep_their_positions():

@@ -5,12 +5,12 @@ import random
 
 import pytest
 
+from repro.core.footprint import footprint_bytes
 from repro.core.movement import MovementModel
 from repro.core.optimizer import ChimeraOptimizer
 from repro.core.reordering import candidate_models, producer_private_reductions
 from repro.core.search import (
     SearchStats,
-    SolveMemo,
     chain_digest,
     dv_lower_bound,
     memo_key,
@@ -23,6 +23,7 @@ from repro.core.search import (
 from repro.core.solver import solve_tiles
 from repro.hardware import ascend_910, xeon_gold_6240
 from repro.ir.chains import batch_gemm_chain, conv_chain, gemm_chain, mlp_chain
+from repro.memo import LRUMemo
 from tests.search_oracle import exhaustive_search_tiles
 
 CAPACITY = 256 * 1024.0
@@ -67,17 +68,25 @@ class TestBounds:
         """Each bound fits with every other loop at 1; one more does not
         (the batched bisection against the dict-based model)."""
         extents = chain.loop_extents()
-        constraints = ChimeraOptimizer(ascend_910()).extra_constraints(chain)
-        assert constraints
+        constraint = ChimeraOptimizer(ascend_910()).extra_constraint(chain)
+        assert constraint is not None
+        writes = [
+            chain.producers_of(tensor)[0].access_of(tensor)
+            for tensor in chain.intermediate_tensors()
+        ]
 
         def fits(model, tiles):
-            return model.usage(tiles) <= capacity and all(
-                fn(tiles) <= 0 for fn in constraints
+            buffered = sum(
+                footprint_bytes(chain, access, tiles) for access in writes
+            )
+            return (
+                model.usage(tiles) <= capacity
+                and buffered <= constraint.capacity
             )
 
         bisected = 0
         for model in models:
-            bounds = upper_tile_bounds(model, capacity, constraints)
+            bounds = upper_tile_bounds(model, capacity, constraint)
             if bounds is None:
                 assert not fits(model, {n: 1 for n in extents})
                 continue
@@ -123,10 +132,10 @@ class TestMemo:
             quanta=None,
             max_parent=None,
             hard_min_tiles=None,
-            constraints_token=None,
+            constraint=None,
         )
         solution = solve_tiles(model, CAPACITY)
-        memo = SolveMemo()
+        memo = LRUMemo(capacity=8)
         memo.put(key, solution)
         assert memo.get(key) is solution
 
@@ -148,7 +157,7 @@ class TestMemo:
         )
 
     def test_lru_eviction(self):
-        memo = SolveMemo(capacity=2)
+        memo = LRUMemo(capacity=2)
         memo.put("a", "A")
         memo.put("b", "B")
         memo.get("a")
@@ -165,23 +174,6 @@ class TestMemo:
         assert stats_warm.solves == 0
         assert stats_warm.memo_hits == stats_cold.solves
         assert stats_warm.pruned == stats_cold.pruned
-
-    def test_constraints_without_token_disable_memo(self, models):
-        constraint = lambda tiles: -1.0  # noqa: E731 - unkeyable on purpose
-        solves = []
-        for _ in range(2):
-            stats = SearchStats()
-            search_tiles(
-                models,
-                CAPACITY,
-                constraints=(constraint,),
-                stats=stats,
-            )
-            assert stats.memo_hits == 0
-            assert stats.solves + stats.pruned == len(models)
-            solves.append(stats.solves)
-        assert solves[0] == solves[1] > 0
-        assert len(solve_memo()) == 0
 
     def test_hinted_solves_are_keyed_apart(self, models):
         """A warm-started search neither reads nor fills cold entries."""
@@ -236,21 +228,13 @@ class TestPruningExactness:
         hw = ascend_910()
         capacity = float(hw.on_chip_levels[-1].capacity) * 0.75
         models = candidate_models(chain).models
-        constraints = ChimeraOptimizer(hw).extra_constraints(chain)
-        token = ChimeraOptimizer.constraints_token(constraints)
+        constraint = ChimeraOptimizer(hw).extra_constraint(chain)
         baseline = exhaustive_search_tiles(
-            models,
-            capacity,
-            constraints=constraints,
-            constraints_token=token,
+            models, capacity, constraint=constraint
         )
         stats = SearchStats()
         pruned = search_tiles(
-            models,
-            capacity,
-            constraints=constraints,
-            constraints_token=token,
-            stats=stats,
+            models, capacity, constraint=constraint, stats=stats
         )
         assert pruned[0].perm == baseline[0].perm
         assert pruned[1].tiles == baseline[1].tiles
@@ -343,15 +327,12 @@ class TestWarmStartOrderHint:
     def test_unified_buffer_search(self, family):
         rng = random.Random(f"order-hint-ub-{family}")
         chain = HINT_CHAINS[family]()
-        constraints = ChimeraOptimizer(ascend_910()).extra_constraints(chain)
-        assert constraints
+        constraint = ChimeraOptimizer(ascend_910()).extra_constraint(chain)
+        assert constraint is not None
         models = self._models(chain, rng)
         for capacity in self._capacities(models[0]):
             self._assert_hint_free(
-                models, capacity, rng, constraints=constraints,
-                constraints_token=ChimeraOptimizer.constraints_token(
-                    constraints
-                ),
+                models, capacity, rng, constraint=constraint
             )
 
     @pytest.mark.parametrize("family", ["batch_gemm", "conv_3x3_first"])

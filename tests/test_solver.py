@@ -1,15 +1,38 @@
 """Tests for the constrained tile-size solver."""
 
+import contextlib
 import math
 import random
+from unittest import mock
 
-import numpy as np
 import pytest
 
+import repro.core.solver as solver_module
 from repro.core.movement import MovementModel
-from repro.core.solver import _integer_refine, gemm_chain_closed_form, solve_tiles
-from repro.core.tables import evaluator_for
+from repro.core.solver import gemm_chain_closed_form, solve_tiles
+from repro.core.tables import FootprintConstraint
 from repro.ir.chains import batch_gemm_chain, gemm_chain
+
+
+@contextlib.contextmanager
+def _searches_spied():
+    """Record which search stages ``solve_tiles`` runs in the block."""
+    searched = []
+    minimize = solver_module.optimize.minimize
+    refine = solver_module._integer_refine
+
+    def spy_minimize(*args, **kwargs):
+        searched.append("slsqp")
+        return minimize(*args, **kwargs)
+
+    def spy_refine(*args, **kwargs):
+        searched.append("refine")
+        return refine(*args, **kwargs)
+
+    with mock.patch.object(
+        solver_module.optimize, "minimize", spy_minimize
+    ), mock.patch.object(solver_module, "_integer_refine", spy_refine):
+        yield searched
 
 
 @pytest.fixture
@@ -108,15 +131,13 @@ class TestSolveTiles:
         assert solution.tiles["m"] % 16 == 0
         assert solution.tiles["l"] % 16 == 0
 
-    def test_extra_constraint(self, model):
+    def test_extra_constraint(self, chain, model):
+        """An access-group bound on the intermediate ``C[m, l]`` (FP16)."""
         limit = 5_000.0
-
-        def c_tile_bound(tiles):
-            return tiles["m"] * tiles["l"] * 2 - limit
-
-        solution = solve_tiles(
-            model, 1024 * 1024.0, constraints=[c_tile_bound]
-        )
+        write = chain.producers_of("C")[0].access_of("C")
+        constraint = FootprintConstraint(chain, [write], limit)
+        solution = solve_tiles(model, 1024 * 1024.0, constraint=constraint)
+        assert solution.feasible
         assert solution.tiles["m"] * solution.tiles["l"] * 2 <= limit
 
     def test_infeasible_shrinks_to_ones(self):
@@ -129,20 +150,11 @@ class TestSolveTiles:
         assert solution.tiles == ones
         assert solution.mu == model.usage(ones)
         assert solution.dv == model.volume(ones, exact=True)
-        # MU is monotone in every tile, so the integer refinement reaches
-        # the same verdict from any continuous point — which is what lets
-        # the solver skip its continuous stage here.
-        names = list(model.perm)
-        evaluator = evaluator_for(model, names)
-        lower, upper = np.ones(len(names)), np.full(len(names), 16.0)
-        rng = random.Random("infeasible-seeds")
-        for _ in range(8):
-            seed = {name: rng.uniform(1.0, 16.0) for name in names}
-            refined = _integer_refine(
-                model, seed, capacity, names, lower, upper, {}, (),
-                evaluator=evaluator,
-            )
-            assert refined == solution
+        # MU is monotone in every tile, so no point fits: the verdict needs
+        # neither a continuous solve nor an integer refinement.
+        with _searches_spied() as searched:
+            assert solve_tiles(model, capacity) == solution
+        assert searched == []
 
     @pytest.mark.parametrize("reuse", [True, False])
     @pytest.mark.parametrize(
@@ -169,6 +181,29 @@ class TestSolveTiles:
         assert solution.tiles == pinned
         assert solution.mu == model.usage(pinned)
         assert solution.dv == model.volume(pinned, exact=True)
+
+    def test_hard_minimum_verdict_skips_the_search(self):
+        """The hard-minimum point is the smallest legal point, and MU is
+        monotone, so when it does not fit the solve returns the verdict
+        without running SLSQP or the integer refinement."""
+        chain = batch_gemm_chain(1, 512, 64, 4096, 512)
+        model = MovementModel(chain, ("m", "l", "k", "n"))
+        kwargs = {
+            "hard_min_tiles": {"k": 4096},
+            "min_tiles": {"m": 8, "l": 8, "k": 8, "n": 8},
+        }
+        with _searches_spied() as searched:
+            solution = solve_tiles(model, 10_000.0, **kwargs)
+        assert searched == []
+        assert solution.feasible is False
+        assert solution.tiles["k"] == 4096
+        # With room for the pinned point, the same solve searches.
+        pinned = {name: 1 for name in chain.loop_extents()}
+        pinned["k"] = 4096
+        with _searches_spied() as searched:
+            solution = solve_tiles(model, model.usage(pinned), **kwargs)
+        assert searched == ["slsqp", "refine"]
+        assert solution.feasible is True
 
     def test_never_worse_than_the_lagrange_point(self):
         """Seeded fuzz of the paper's check over GEMM-chain shapes and
