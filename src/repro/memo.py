@@ -1,10 +1,13 @@
 """The bounded, thread-safe LRU behind every process-global memo.
 
 The solve memo (:func:`repro.core.search.solve_memo`), the movement-tables
-memo (:mod:`repro.core.tables`) and the compiled-schedule memo
-(:mod:`repro.codegen.schedule`) are each one :class:`LRUMemo`.  This
-module imports nothing from the package, so both ``core`` and ``codegen``
-can use it without an import cycle.
+memo (:mod:`repro.core.tables`), the compiled-schedule memo
+(:mod:`repro.codegen.schedule`) and the lowered micro-kernel memo of each
+registered replaceable kernel
+(:meth:`repro.microkernel.ReplaceableMicroKernel.lower`) are each one
+:class:`LRUMemo`.  This module imports nothing from the package, so
+``core``, ``codegen`` and ``microkernel`` can use it without an import
+cycle.
 """
 
 from __future__ import annotations

@@ -3,6 +3,11 @@
 Importing this package registers the three backend implementations of the
 ``matmul`` replaceable micro kernel (AVX-512, Tensor Core WMMA, cube-unit
 mad), mirroring Figure 4 of the paper.
+
+Each kernel is lowered once per process: :func:`lower_matmul` and
+:func:`lower_for_chain` return the identical frozen kernel for equal
+hardware, dtype and extent hints, from the bounded memo of
+:meth:`ReplaceableMicroKernel.lower`.
 """
 
 from typing import Dict, Optional
@@ -29,7 +34,11 @@ from .npu import build_npu_micro_kernel, cube_ai
 def lower_matmul(
     hardware: HardwareSpec, dtype: DType = FP16, **hints: int
 ) -> LoweredMicroKernel:
-    """Lower the matmul replaceable kernel for ``hardware``'s backend."""
+    """Lower the matmul replaceable kernel for ``hardware``'s backend.
+
+    Memoized per ``(hardware, dtype, hints)``; see
+    :meth:`ReplaceableMicroKernel.lower`.
+    """
     return get_micro_kernel("matmul").lower(hardware, dtype, **hints)
 
 
@@ -40,7 +49,8 @@ def lower_for_chain(
 
     The hint extents are the smallest (m, n, k) any compute-intensive
     operator in the chain presents, so the generated kernel never pads
-    against the chain's tightest dimension.
+    against the chain's tightest dimension.  Chains with equal hints share
+    one memoized kernel; only the hint derivation runs per call.
     """
     hints: Dict[str, int] = {}
     extents = chain.loop_extents()

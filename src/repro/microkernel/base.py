@@ -19,6 +19,10 @@ The lowered kernel carries everything the rest of the system needs:
   padding penalty via :meth:`LoweredMicroKernel.efficiency_for_tiles`;
 * ``source`` — the generated low-level code (assembly / intrinsics /
   pragma DSL), for inspection and tests.
+
+A lowering depends only on the hardware, the dtype and the extent hints,
+so :meth:`ReplaceableMicroKernel.lower` builds each kernel once per
+process and serves repeats from a bounded memo.
 """
 
 from __future__ import annotations
@@ -30,6 +34,12 @@ from typing import Callable, Dict, Mapping, Tuple
 from ..hardware.spec import HardwareSpec
 from ..ir.dtypes import DType, FP16
 from ..ir.operator import OperatorSpec
+from ..memo import LRUMemo
+
+#: Lowered kernels one replaceable kernel keeps.  A kernel's ``source`` is
+#: at most about 10 KB (AVX-512 on a narrow N), so a full memo stays near
+#: 1 MB.
+LOWER_MEMO_CAPACITY = 128
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,17 +123,30 @@ native tiles instead of padding small problems.
 
 
 class ReplaceableMicroKernel:
-    """One replaceable kernel with per-backend registered implementations."""
+    """One replaceable kernel with per-backend registered implementations.
+
+    Lowered kernels are memoized per ``(hardware, dtype, hints)``: the
+    factories are pure, and a warm network compile lowers the same few
+    kernels for every node.  Callers share the returned (frozen) kernel.
+    """
 
     def __init__(self, spec: MicroKernelSpec) -> None:
         self.spec = spec
         self._factories: Dict[str, KernelFactory] = {}
+        self._lowered: LRUMemo[LoweredMicroKernel] = LRUMemo(
+            LOWER_MEMO_CAPACITY
+        )
 
     def register(self, backend: str, factory: KernelFactory) -> None:
-        """Register (or replace) the implementation for one backend."""
+        """Register (or replace) the implementation for one backend.
+
+        Drops the memoized lowerings of that backend, so the next
+        :meth:`lower` runs the new factory.
+        """
         if backend not in ("cpu", "gpu", "npu"):
             raise ValueError(f"unknown backend {backend!r}")
         self._factories[backend] = factory
+        self._lowered.forget(lambda key: key[0].backend == backend)
 
     def backends(self) -> Tuple[str, ...]:
         return tuple(sorted(self._factories))
@@ -132,6 +155,8 @@ class ReplaceableMicroKernel:
         self, hardware: HardwareSpec, dtype: DType = FP16, **hints: int
     ) -> LoweredMicroKernel:
         """Select and build the implementation for ``hardware``'s backend.
+
+        Equal ``(hardware, dtype, hints)`` return the identical object.
 
         Raises:
             KeyError: if no implementation is registered for the backend.
@@ -143,7 +168,10 @@ class ReplaceableMicroKernel:
                 f"micro kernel {self.spec.name!r} has no implementation for "
                 f"backend {hardware.backend!r}; registered: {self.backends()}"
             ) from None
-        return factory(hardware, dtype, **hints)
+        key = (hardware, dtype, tuple(sorted(hints.items())))
+        return self._lowered.get_or_compute(
+            key, lambda: factory(hardware, dtype, **hints)
+        )
 
 
 _REGISTRY: Dict[str, ReplaceableMicroKernel] = {}

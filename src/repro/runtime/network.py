@@ -31,6 +31,7 @@ import dataclasses
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from .. import microkernel
 from ..core.fusion import FusionDecision
 from ..core.optimizer import ChimeraConfig
 from ..core.plan import FusionPlan
@@ -277,7 +278,9 @@ def _node_plan(
     time_chosen = _plan_sequence_time(chosen, simulate)
     if decision.use_fusion:
         unfused = tuple(
-            pipeline._attach_micro_kernel(plan, hardware)
+            pipeline._attach_micro_kernel(
+                plan, microkernel.lower_for_chain(hardware, plan.chain)
+            )
             for plan in decision.unfused_plans
         )
         time_unfused = _plan_sequence_time(unfused, simulate)

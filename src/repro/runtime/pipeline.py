@@ -73,7 +73,9 @@ def optimize_chain(
     """Run only the inter-block pass (always fusing) and attach the kernel."""
     cfg = chimera_config(chain, hardware, config)
     plan = ChimeraOptimizer(hardware, cfg).optimize(chain)
-    return _attach_micro_kernel(plan, hardware)
+    return _attach_micro_kernel(
+        plan, microkernel.lower_for_chain(hardware, chain)
+    )
 
 
 def compile_chain(
@@ -141,16 +143,19 @@ def kernels_for_decision(
     """
     kernels = []
     for plan in decision.chosen:
-        plan = _attach_micro_kernel(plan, hardware)
         micro = microkernel.lower_for_chain(hardware, plan.chain)
+        plan = _attach_micro_kernel(plan, micro)
         kernels.append(build_kernel(plan, micro))
     return tuple(kernels)
 
 
 def _attach_micro_kernel(
-    plan: FusionPlan, hardware: HardwareSpec
+    plan: FusionPlan, micro: microkernel.LoweredMicroKernel
 ) -> FusionPlan:
-    micro = microkernel.lower_for_chain(hardware, plan.chain)
+    """``plan`` with ``micro``'s name and sustained efficiency.
+
+    ``micro`` is the kernel lowered for ``plan.chain``.
+    """
     efficiency = microkernel.chain_efficiency(
         plan.chain, micro, dict(plan.inner.tiles)
     )

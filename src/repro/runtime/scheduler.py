@@ -326,11 +326,36 @@ def _anneal(
     space of topological orders, so the walk can in principle reach any
     of them.  Returns the best order/peak seen (never worse than the
     start).
+
+    The live profile is kept between moves rather than rebuilt: such a
+    swap changes only steps ``i`` and ``i+1``.  The right node's output
+    becomes live a step earlier and the left node's a step later, their
+    transients trade steps, and a producer whose last use moves between
+    the two steps gains or loses step ``i+1``.  The updated profile is
+    exactly the rebuilt one, so the peaks, the RNG draws and the returned
+    order are those of the full rebuild (``tests/schedule_oracle.py``).
     """
     current = list(order)
-    current_peak = _peak(
-        _live_profile(current, footprints, consumers, {}, transients)
-    )
+    live = _live_profile(current, footprints, consumers, {}, transients)
+    position = {name: index for index, name in enumerate(current)}
+    transient = dict(transients)
+    # The producers the profile counts: their bytes, their users, and the
+    # position of their last user; per node, the counted producers it reads.
+    kept = {
+        name: nbytes
+        for name, nbytes in footprints.items()
+        if nbytes and consumers.get(name)
+    }
+    users = {name: set(consumers[name]) for name in kept}
+    last_use = {
+        name: max(position[user] for user in users[name]) for name in kept
+    }
+    reads: Dict[str, List[str]] = {name: [] for name in current}
+    for name in kept:
+        for user in users[name]:
+            reads[user].append(name)
+
+    current_peak = _peak(live)
     best = list(current)
     best_peak = current_peak
     count = len(current)
@@ -343,21 +368,43 @@ def _anneal(
         left, right = current[index], current[index + 1]
         if (left, right) in edges:
             continue
-        current[index], current[index + 1] = right, left
-        peak = _peak(
-            _live_profile(current, footprints, consumers, {}, transients)
+        # Producers whose last use moves: left's step moves to index + 1;
+        # right's moves to index unless left reads the producer too.
+        later = [name for name in reads[left] if last_use[name] == index]
+        earlier = [
+            name
+            for name in reads[right]
+            if last_use[name] == index + 1 and left not in users[name]
+        ]
+        low, high = live[index], live[index + 1]
+        left_transient = transient.get(left, 0)
+        right_transient = transient.get(right, 0)
+        live[index] = (
+            low - kept.get(left, 0) + kept.get(right, 0)
+            - left_transient + right_transient
         )
+        live[index + 1] = (
+            high + left_transient - right_transient
+            + sum(kept[name] for name in later)
+            - sum(kept[name] for name in earlier)
+        )
+        peak = max(live)
         temperature = t_start * (t_end / t_start) ** (
             step / max(1, iterations - 1)
         )
         delta = peak - current_peak
         if delta <= 0 or rng.random() < math.exp(-delta / temperature):
+            current[index], current[index + 1] = right, left
+            for name in later:
+                last_use[name] = index + 1
+            for name in earlier:
+                last_use[name] = index
             current_peak = peak
             if peak < best_peak:
                 best = list(current)
                 best_peak = peak
         else:
-            current[index], current[index + 1] = left, right
+            live[index], live[index + 1] = low, high
     return best, best_peak
 
 

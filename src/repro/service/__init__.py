@@ -14,7 +14,8 @@ This package provides that layer:
 * :class:`CompileService` — cached + coalesced + warm-starting +
   failure-degrading ``compile`` / ``serve`` front end
   (:mod:`repro.service.service`);
-* :func:`compile_batch` — parallel fan-out with per-request isolation
+* :func:`compile_batch` — cache hits served on the calling thread, misses
+  fanned out in parallel, with per-request isolation
   (:mod:`repro.service.batch`);
 * :class:`ServiceMetrics` — thread-safe counters and latency percentiles
   (:mod:`repro.service.metrics`).

@@ -1,9 +1,12 @@
-"""Parallel batch compilation over a ``concurrent.futures`` worker pool.
+"""Batch compilation: cache hits inline, misses over a worker pool.
 
 Offline deployments compile a model's whole set of fusion chains at once;
-:func:`compile_batch` fans the requests across a thread pool (the optimizer
-spends its time in NumPy/SciPy, which release the GIL during the heavy
-linear algebra) and aggregates per-request outcomes into a
+:func:`compile_batch` serves every cache hit on the calling thread (a hit
+is a lookup plus a cheap decode, which a thread hand-off would only slow
+down) and fans the misses across a ``concurrent.futures`` thread pool
+(the optimizer spends its time in NumPy/SciPy, which release the GIL
+during the heavy linear algebra).  The pool is built only when the batch
+has misses.  Per-request outcomes are aggregated into a
 :class:`BatchReport`.
 
 Per-request isolation is the contract: one request failing, degrading to
@@ -19,10 +22,11 @@ import concurrent.futures
 import dataclasses
 import os
 import time
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .service import (
     SOURCE_FALLBACK,
+    CompileRequest,
     CompileService,
     RequestLike,
     ServedCompile,
@@ -119,7 +123,62 @@ class BatchReport:
 
 
 def _default_workers(n_requests: int) -> int:
-    return max(1, min(n_requests, os.cpu_count() or 1))
+    """Pool width: one thread per request, at most one per CPU the
+    process may run on (its affinity mask, where the platform has one)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        cpus = os.cpu_count() or 1
+    return max(1, min(n_requests, cpus))
+
+
+def _unserved_item(
+    index: int,
+    request: CompileRequest,
+    key: str,
+    status: str,
+    seconds: float,
+    error: str,
+) -> BatchItem:
+    """The outcome of a request that produced no :class:`ServedCompile`."""
+    return BatchItem(
+        index=index,
+        chain=request.chain.name,
+        hardware=request.hardware.name,
+        key=key,
+        status=status,
+        source="",
+        seconds=seconds,
+        served=None,
+        error=error,
+    )
+
+
+def _served_item(index: int, served: ServedCompile) -> BatchItem:
+    if served.result is None:
+        status = STATUS_FAILED
+    elif served.source == SOURCE_FALLBACK:
+        status = STATUS_FALLBACK
+    else:
+        status = STATUS_OK
+    return BatchItem(
+        index=index,
+        chain=served.request.chain.name,
+        hardware=served.request.hardware.name,
+        key=served.key,
+        status=status,
+        source=served.source,
+        seconds=served.seconds,
+        served=served,
+        error=served.error,
+    )
+
+
+def _serve_miss(
+    service: CompileService, request: CompileRequest, key: str
+) -> ServedCompile:
+    """A pool worker's job: finish a request :meth:`lookup` counted."""
+    return service._serve_keyed(request, key, time.perf_counter())
 
 
 def compile_batch(
@@ -129,16 +188,24 @@ def compile_batch(
     max_workers: Optional[int] = None,
     timeout: Optional[float] = None,
 ) -> BatchReport:
-    """Compile every request, in parallel, with per-request isolation.
+    """Compile every request with per-request isolation.
+
+    Each request's cache key is computed once.  Hits are served on the
+    calling thread through :meth:`CompileService.lookup`; the misses
+    (including entries that fail to decode, which are evicted) are
+    compiled in parallel by a thread pool built only for them.
 
     Args:
-        service: the cache/coalescing front end each worker goes through.
+        service: the cache/coalescing front end every request goes
+            through.
         requests: ``CompileRequest`` objects or ``(chain, hardware)`` pairs.
-        max_workers: pool size (default: ``min(len(requests), cpu_count)``).
-        timeout: per-request wall-clock budget in seconds, measured from
-            batch start.  A request that misses it is reported as
-            ``"timeout"``; its worker keeps running in the background and
-            may still populate the cache for the next batch.
+        max_workers: pool size for the misses (default: one thread per
+            miss, at most one per CPU in the process's affinity mask).
+        timeout: per-request wall-clock budget in seconds for the misses,
+            measured from batch start.  A request that misses it is
+            reported as ``"timeout"``; its worker keeps running in the
+            background and may still populate the cache for the next
+            batch.
 
     Returns:
         a :class:`BatchReport`; this function never raises for per-request
@@ -147,77 +214,64 @@ def compile_batch(
     normalized = [as_request(request) for request in requests]
     if not normalized:
         return BatchReport(items=(), wall_seconds=0.0)
-    workers = (
-        _default_workers(len(normalized)) if max_workers is None else max_workers
-    )
     started = time.perf_counter()
-    items = []
-    executor = concurrent.futures.ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="repro-compile"
-    )
-    try:
-        futures = [
-            executor.submit(service.serve, request) for request in normalized
-        ]
-        for index, (request, future) in enumerate(zip(normalized, futures)):
-            remaining = None
-            if timeout is not None:
-                remaining = max(0.0, timeout - (time.perf_counter() - started))
-            try:
-                served = future.result(timeout=remaining)
-            except concurrent.futures.TimeoutError:
-                service.metrics.count("timeouts")
-                items.append(
-                    BatchItem(
-                        index=index,
-                        chain=request.chain.name,
-                        hardware=request.hardware.name,
-                        key=request.key,
-                        status=STATUS_TIMEOUT,
-                        source="",
-                        seconds=time.perf_counter() - started,
-                        served=None,
-                        error=f"timed out after {timeout}s",
-                    )
-                )
-                continue
-            except Exception as exc:  # noqa: BLE001 - isolate worker crashes
-                items.append(
-                    BatchItem(
-                        index=index,
-                        chain=request.chain.name,
-                        hardware=request.hardware.name,
-                        key=request.key,
-                        status=STATUS_FAILED,
-                        source="",
-                        seconds=time.perf_counter() - started,
-                        served=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                continue
-            if served.result is None:
-                status = STATUS_FAILED
-            elif served.source == SOURCE_FALLBACK:
-                status = STATUS_FALLBACK
-            else:
-                status = STATUS_OK
-            items.append(
-                BatchItem(
-                    index=index,
-                    chain=request.chain.name,
-                    hardware=request.hardware.name,
-                    key=served.key,
-                    status=status,
-                    source=served.source,
-                    seconds=served.seconds,
-                    served=served,
-                    error=served.error,
-                )
+    items: List[Optional[BatchItem]] = [None] * len(normalized)
+    misses: List[Tuple[int, CompileRequest, str]] = []
+    for index, request in enumerate(normalized):
+        arrived = time.perf_counter()
+        key = request.key
+        try:
+            served = service.lookup(request, key, arrived)
+        except Exception as exc:  # noqa: BLE001 - isolate request crashes
+            items[index] = _unserved_item(
+                index, request, key, STATUS_FAILED,
+                time.perf_counter() - arrived, f"{type(exc).__name__}: {exc}",
             )
-    finally:
-        # Don't block the report on timed-out stragglers.
-        executor.shutdown(wait=timeout is None)
+            continue
+        if served is None:
+            misses.append((index, request, key))
+        else:
+            items[index] = _served_item(index, served)
+    if misses:
+        workers = (
+            _default_workers(len(misses))
+            if max_workers is None
+            else max_workers
+        )
+        executor = concurrent.futures.ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="repro-compile"
+        )
+        try:
+            futures = [
+                executor.submit(_serve_miss, service, request, key)
+                for _, request, key in misses
+            ]
+            for (index, request, key), future in zip(misses, futures):
+                remaining = None
+                if timeout is not None:
+                    remaining = max(
+                        0.0, timeout - (time.perf_counter() - started)
+                    )
+                try:
+                    items[index] = _served_item(
+                        index, future.result(timeout=remaining)
+                    )
+                except concurrent.futures.TimeoutError:
+                    service.metrics.count("timeouts")
+                    items[index] = _unserved_item(
+                        index, request, key, STATUS_TIMEOUT,
+                        time.perf_counter() - started,
+                        f"timed out after {timeout}s",
+                    )
+                except Exception as exc:  # noqa: BLE001 - isolate crashes
+                    items[index] = _unserved_item(
+                        index, request, key, STATUS_FAILED,
+                        time.perf_counter() - started,
+                        f"{type(exc).__name__}: {exc}",
+                    )
+        finally:
+            # Don't block the report on timed-out stragglers.
+            executor.shutdown(wait=timeout is None)
     return BatchReport(
         items=tuple(items), wall_seconds=time.perf_counter() - started
     )

@@ -324,9 +324,7 @@ class CompileService:
             except PlanFormatError as exc:
                 # An undecodable entry: evict it, and recompile once when
                 # it came from a cache tier.
-                self.metrics.count("corrupt_entries")
-                self.cache.delete(key)
-                self.shape_index.forget(key)
+                self._evict_corrupt(key)
                 if source in (SOURCE_MEMORY, SOURCE_DISK):
                     # The hit never produced a result: retract it, so the
                     # recompile registers as the miss it really is
@@ -343,6 +341,44 @@ class CompileService:
             seconds=time.perf_counter() - started,
             error=error,
             warm_start=warm,
+        )
+
+    def lookup(
+        self, request: CompileRequest, key: str, started: float
+    ) -> Optional[ServedCompile]:
+        """Serve a cache hit on the calling thread; ``None`` otherwise.
+
+        Counts the request, then does for a hit exactly what
+        :meth:`serve` does: counts ``hits_<tier>`` and decodes the entry.
+        A corrupt entry is evicted and forgotten in the shape index, and
+        its hit retracted.  On ``None`` (a miss, or a corrupt entry) the
+        request stays counted: finish it with :meth:`_serve_keyed`, which
+        coalesces, compiles and recovers as :meth:`serve` does.
+
+        Args:
+            request: the compilation unit.
+            key: its cache key.
+            started: ``perf_counter()`` when the request arrived; the
+                hit's ``seconds`` are measured from it.
+        """
+        self.metrics.count("requests")
+        entry, tier = self.cache.get_with_tier(key)
+        if entry is None:
+            return None
+        self.metrics.count(f"hits_{tier}")
+        try:
+            result = self._decode_entry(entry, request.hardware)
+        except PlanFormatError:
+            self._evict_corrupt(key)
+            self.metrics.count(f"hits_{tier}", -1)
+            return None
+        return ServedCompile(
+            request=request,
+            key=key,
+            result=result,
+            source=tier,
+            seconds=time.perf_counter() - started,
+            warm_start=WARM_EXACT,
         )
 
     def serve_raw(
@@ -379,7 +415,8 @@ class CompileService:
         )
 
     def compile_batch(self, requests, **kwargs):
-        """Fan requests across a worker pool; see :func:`compile_batch`."""
+        """Serve hits inline and fan misses across a worker pool; see
+        :func:`compile_batch`."""
         from .batch import compile_batch
 
         return compile_batch(self, requests, **kwargs)
@@ -458,6 +495,12 @@ class CompileService:
                 self._inflight.pop(key, None)
             flight.done.set()
         return entry, source, error, warm
+
+    def _evict_corrupt(self, key: str) -> None:
+        """Drop an entry that failed to decode from the cache and index."""
+        self.metrics.count("corrupt_entries")
+        self.cache.delete(key)
+        self.shape_index.forget(key)
 
     # ------------------------------------------------------------------
     # warm-start path: shape index maintenance and neighbor hints

@@ -9,6 +9,7 @@ the residency replay cross-check, and the explicit-stack DFS surviving a
 ``sys.getrecursionlimit()`` there).
 """
 
+import hashlib
 import random
 
 import pytest
@@ -19,13 +20,16 @@ from repro.hardware import ascend_910, xeon_gold_6240
 from repro.ir import builders
 from repro.ir.dtypes import FP16
 from repro.ir.graph import GraphBuilder, partition_graph
+from repro.hardware import a100
 from repro.runtime.network import compile_network
 from repro.runtime.scheduler import (
     GraphSchedule,
     TensorResidency,
+    _anneal,
     default_memory_budget,
     schedule_partition,
 )
+from repro.service import CompileService
 from repro.runtime.serialization import (
     network_plan_from_dict,
     network_plan_json,
@@ -39,6 +43,7 @@ from repro.workloads import (
     pack_networks,
     network_time,
 )
+from tests.schedule_oracle import anneal_by_rebuild
 
 HW = xeon_gold_6240()
 
@@ -348,3 +353,171 @@ def test_invalid_inputs():
         build_multibranch_network(branches=0)
     with pytest.raises(KeyError):
         schedule_partition(partition, HW).position("nope")
+
+
+# ----------------------------------------------------------------------
+# incremental anneal against the full-rebuild oracle
+# ----------------------------------------------------------------------
+def _anneal_inputs(rng, count, with_transients):
+    """A random DAG in a random topological order, as ``_anneal`` takes it.
+
+    Footprints include zero-byte producers, and some producers have no
+    consumers; transients, when drawn, include zero and a name outside
+    the order (both of which the profile ignores).
+    """
+    names = [f"v{index}" for index in range(count)]
+    consumers = {}
+    for index, name in enumerate(names):
+        later = names[index + 1:]
+        fanout = rng.choice((0, 1, 1, 2, 3))
+        users = rng.sample(later, min(fanout, len(later)))
+        if users:
+            consumers[name] = tuple(users)
+    footprints = {
+        name: rng.choice((0, 0, 64, 512, 4096, rng.randint(1, 1 << 20)))
+        for name in names
+    }
+    indegree = {name: 0 for name in names}
+    for users in consumers.values():
+        for user in users:
+            indegree[user] += 1
+    ready = [name for name in names if indegree[name] == 0]
+    order = []
+    while ready:
+        name = ready.pop(rng.randrange(len(ready)))
+        order.append(name)
+        for user in consumers.get(name, ()):
+            indegree[user] -= 1
+            if indegree[user] == 0:
+                ready.append(user)
+    transients = {}
+    if with_transients:
+        transients = {
+            name: rng.choice((0, 128, 8192, 1 << 16))
+            for name in rng.sample(names, count // 2 + 1)
+        }
+        transients["not-in-order"] = 1 << 30
+    edges = {
+        (producer, user)
+        for producer, users in consumers.items()
+        for user in users
+    }
+    return order, edges, footprints, consumers, transients
+
+
+def _assert_anneal_matches_oracle(order, edges, footprints, consumers,
+                                  transients, seed, iterations):
+    fast_rng = random.Random(seed)
+    oracle_rng = random.Random(seed)
+    fast = _anneal(order, edges, footprints, consumers, fast_rng,
+                   iterations, transients)
+    oracle = anneal_by_rebuild(order, edges, footprints, consumers,
+                               oracle_rng, iterations, transients)
+    assert fast == oracle
+    # The same number of draws: the walk took the same path.
+    assert fast_rng.getstate() == oracle_rng.getstate()
+
+
+@pytest.mark.parametrize("with_transients", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+def test_incremental_anneal_matches_full_rebuild(seed, with_transients):
+    rng = random.Random(f"anneal:{seed}:{with_transients}")
+    for count in (2, 3, 5, 9, 17, 33, 60):
+        inputs = _anneal_inputs(rng, count, with_transients)
+        for iterations in (0, 1, 40, 300):
+            _assert_anneal_matches_oracle(
+                *inputs, seed=seed * 1000 + count, iterations=iterations
+            )
+
+
+@pytest.mark.parametrize("interleaved", [False, True])
+def test_incremental_anneal_matches_full_rebuild_on_5000_nodes(interleaved):
+    # A path (no legal swap), and two interleaved 2,500-node chains, where
+    # every adjacent swap of the start order is legal.
+    rng = random.Random(5000)
+    names = [f"n{index}" for index in range(5000)]
+    stride = 2 if interleaved else 1
+    consumers = {
+        name: (names[index + stride],)
+        for index, name in enumerate(names[:-stride])
+    }
+    edges = {(producer, users[0]) for producer, users in consumers.items()}
+    footprints = {name: rng.randint(0, 1 << 20) for name in names}
+    transients = {name: rng.randint(1, 1 << 12) for name in names[::7]}
+    _assert_anneal_matches_oracle(
+        names, edges, footprints, consumers, transients, seed=7,
+        iterations=200,
+    )
+
+
+#: sha256 over the four ``network_plan_json`` digests (default budget,
+#: then 1, 16 and 256 MiB) of each network on each preset, as compiled
+#: through one ``CompileService``.  Recorded before the anneal kept its
+#: live profile between moves; the schedule must not change.
+NETWORK_PLAN_DIGESTS = {
+    ("Bert-Small", "xeon-gold-6240"):
+        "d99bbd870976cb840f74aa18eb1658b79cfe35dfdd370b99362d09d44e2839ca",
+    ("Bert-Small", "a100"):
+        "ee2e97b34d86712a7d070b7a4a6378bdb509b2688284843c03fddccfd7886523",
+    ("Bert-Base", "xeon-gold-6240"):
+        "d2ce804532db3ae1c61f3f7e813b6a06df0e2e1f00595bb38ca4b62dc9ed5c4d",
+    ("Bert-Base", "a100"):
+        "40ce87434478a295f6b83060d0d2a26fab79f95427f48e4aa4f62530b4685612",
+    ("ViT-Base/14", "xeon-gold-6240"):
+        "81710a9459a3f934eea421b0678c1c281852933aa1c9071af896bfaed7c33a5f",
+    ("ViT-Base/14", "a100"):
+        "14bd6bc3f94064800124187037f4df9a8ac99a5e0f7bd117ba856ed7c08ca0cf",
+    ("Bert-Base+Bert-Base+Bert-Base", "xeon-gold-6240"):
+        "269fe01c34c46b042b68b17623230e23ce45bcc05770a2cfbb295c3e77843bc2",
+    ("Bert-Base+Bert-Base+Bert-Base", "a100"):
+        "ebb6e9219c0390fa0cb4831ed97e25a8bf8a66db24623cf677769731f05bc3c2",
+    ("MultiBranch-2x", "xeon-gold-6240"):
+        "b4cfed6d3ba28d66b9f133e8c24d3a184c2fee29f0a2ab62d3f779edb959455b",
+    ("MultiBranch-2x", "a100"):
+        "6d92edf379bd0a52bc90b5fe8785c254fc4d2beb898e680097ad433b3ac73527",
+    ("MultiBranch-4x", "xeon-gold-6240"):
+        "468d6a655f0182961ca9104481b192b23597121cbd31d549b93f30123ab5bfd0",
+    ("MultiBranch-4x", "a100"):
+        "4506fe826196d09d6a7fb831dfd786d00bab7e4cd3ece79a0a7ba64e1f9167f3",
+    ("MultiBranch-8x", "xeon-gold-6240"):
+        "d9eb344ee021888eb08e4d3eeaa5180e226a94b96a4707522a894bf37769938a",
+    ("MultiBranch-8x", "a100"):
+        "f7eb292d34fcebb7e1c3425d1241e6bf4bc2087d126c21ff8f1e205710e6ae99",
+    ("MultiBranch-16x", "xeon-gold-6240"):
+        "80b1927f2646065b5163efce353377d388a5781508783965afd1f362850c296f",
+    ("MultiBranch-16x", "a100"):
+        "951689055fccae9f95f2d00930a1060e5f4d68a8ebe9b8144e22444df9252f89",
+}
+
+
+def _pinned_dags():
+    dags = [
+        build_network(network_config(name))
+        for name in ("Bert-Small", "Bert-Base", "ViT-Base/14")
+    ]
+    bert = build_network(network_config("Bert-Base"))
+    dags.append(pack_networks([bert, bert, bert]))
+    dags.extend(
+        build_multibranch_network(branches=branches)
+        for branches in (2, 4, 8, 16)
+    )
+    return dags
+
+
+def test_network_plan_digests_pinned():
+    mib = 1 << 20
+    service = CompileService()
+    digests = {}
+    for dag in _pinned_dags():
+        for hardware in (HW, a100()):
+            combined = hashlib.sha256()
+            for budget in (None, mib, 16 * mib, 256 * mib):
+                plan = compile_network(
+                    dag, hardware, service=service, memory_budget=budget
+                )
+                text = network_plan_json(plan)
+                combined.update(
+                    hashlib.sha256(text.encode()).hexdigest().encode()
+                )
+            digests[(dag.name, hardware.name)] = combined.hexdigest()
+    assert digests == NETWORK_PLAN_DIGESTS

@@ -8,6 +8,7 @@ from repro.hardware.spec import VectorUnit
 from repro.ir.chains import batch_gemm_chain, conv_chain
 from repro.ir.dtypes import FP16, FP32
 from repro.microkernel.base import (
+    LOWER_MEMO_CAPACITY,
     MicroKernelSpec,
     ReplaceableMicroKernel,
     get_micro_kernel,
@@ -118,6 +119,77 @@ class TestRegistry:
         kernel = ReplaceableMicroKernel(MicroKernelSpec("x", ""))
         with pytest.raises(ValueError):
             kernel.register("fpga", lambda hw, dt: None)
+
+
+class TestLoweringMemo:
+    def test_equal_requests_return_the_identical_kernel(self):
+        first = microkernel.lower_matmul(
+            xeon_gold_6240(), FP16, m_extent=64, n_extent=48
+        )
+        # An equal (not identical) spec, hints in another order.
+        again = microkernel.lower_matmul(
+            xeon_gold_6240(), FP16, n_extent=48, m_extent=64
+        )
+        assert again is first
+        for other in (
+            microkernel.lower_matmul(a100(), FP16, m_extent=64, n_extent=48),
+            microkernel.lower_matmul(
+                xeon_gold_6240(), FP32, m_extent=64, n_extent=48
+            ),
+            microkernel.lower_matmul(
+                xeon_gold_6240(), FP16, m_extent=64, n_extent=32
+            ),
+            microkernel.lower_matmul(xeon_gold_6240(), FP16, m_extent=64),
+        ):
+            assert other is not first
+
+    def test_chains_with_equal_hints_share_a_kernel(self):
+        first = microkernel.lower_for_chain(
+            a100(), batch_gemm_chain(2, 64, 32, 32, 64, name="one")
+        )
+        second = microkernel.lower_for_chain(
+            a100(), batch_gemm_chain(2, 64, 32, 32, 64, name="two")
+        )
+        assert second is first
+
+    def test_register_drops_that_backends_lowerings(self):
+        kernel = ReplaceableMicroKernel(MicroKernelSpec("memo-test", ""))
+        calls = []
+
+        def factory(tag, build):
+            def lower(hardware, dtype, **hints):
+                calls.append(tag)
+                return build(hardware, dtype, **hints)
+            return lower
+
+        cpu, gpu = (
+            microkernel.build_cpu_micro_kernel,
+            microkernel.build_gpu_micro_kernel,
+        )
+        kernel.register("cpu", factory("old", cpu))
+        kernel.register("gpu", factory("gpu", gpu))
+        old = kernel.lower(xeon_gold_6240())
+        gpu_kernel = kernel.lower(a100())
+        assert kernel.lower(xeon_gold_6240()) is old
+        assert calls == ["old", "gpu"]
+
+        kernel.register("cpu", factory("new", cpu))
+        new = kernel.lower(xeon_gold_6240())
+        assert new is not old and calls[-1] == "new"
+        # The other backend's lowering survives.
+        assert kernel.lower(a100()) is gpu_kernel
+        assert calls == ["old", "gpu", "new"]
+
+    def test_memo_stays_within_capacity(self):
+        kernel = ReplaceableMicroKernel(MicroKernelSpec("memo-cap", ""))
+        kernel.register("gpu", microkernel.build_gpu_micro_kernel)
+        extra = 5
+        for m in range(LOWER_MEMO_CAPACITY + extra):
+            kernel.lower(a100(), m_extent=16 + m)
+        stats = kernel._lowered.stats()
+        assert stats["entries"] == LOWER_MEMO_CAPACITY
+        assert stats["misses"] == LOWER_MEMO_CAPACITY + extra
+        assert stats["evictions"] == extra
 
 
 class TestChainIntegration:

@@ -1,6 +1,7 @@
 """Tests for the compilation service: cache, coalescing, batch, metrics."""
 
 import json
+import sys
 import threading
 import time
 
@@ -573,6 +574,154 @@ class TestBatch:
         service = CompileService()
         report = compile_batch(service, [(small_bmm(), HW)], max_workers=1)
         assert report.succeeded
+
+    def test_all_hit_batch_creates_no_thread(self, monkeypatch):
+        service = CompileService()
+        requests = [(chain, HW) for chain in self.distinct_chains(3)]
+        service.compile_batch(requests, max_workers=2)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an all-hit batch built a thread pool")
+
+        monkeypatch.setattr(
+            "repro.service.batch.concurrent.futures.ThreadPoolExecutor",
+            no_pool,
+        )
+        report = service.compile_batch(requests, max_workers=2)
+        assert report.succeeded
+        assert [item.source for item in report.items] == [SOURCE_MEMORY] * 3
+
+    def test_mixed_batch_keeps_order_sources_and_accounting(self):
+        service = CompileService()
+        c0, c1, c2, c3 = self.distinct_chains(4)
+        service.compile_batch([(c0, HW), (c1, HW)], max_workers=1)
+        service.metrics.reset()
+        batch = [c2, c0, c2, c1, c3]
+        # One worker runs the misses in order, so the duplicate of c2
+        # finds the entry its first copy stored.
+        report = service.compile_batch(
+            [(chain, HW) for chain in batch], max_workers=1
+        )
+        assert [item.index for item in report.items] == list(range(5))
+        assert [item.chain for item in report.items] == [
+            chain.name for chain in batch
+        ]
+        assert [item.source for item in report.items] == [
+            SOURCE_COMPILED, SOURCE_MEMORY, SOURCE_MEMORY, SOURCE_MEMORY,
+            SOURCE_COMPILED,
+        ]
+        assert [item.key for item in report.items] == [
+            cache_key(chain, HW) for chain in batch
+        ]
+        stats = service.stats()
+        assert stats["requests"] == 5
+        assert stats["misses"] == 2 and stats["compiles"] == 2
+        assert (
+            stats["requests"]
+            == stats["hits_memory"] + stats["hits_disk"]
+            + stats["misses"] + stats["coalesced"]
+        )
+
+    def test_corrupt_hit_in_batch_is_evicted_and_recompiled_once(self):
+        service = CompileService()
+        c0, c1 = self.distinct_chains(2)
+        service.compile_batch([(c0, HW), (c1, HW)], max_workers=1)
+        key = cache_key(c0, HW)
+        broken = dict(service.cache.get(key))
+        broken["fused_plan"] = {"not": "a plan"}
+        service.cache.put(key, broken)
+        service.metrics.reset()
+
+        report = service.compile_batch([(c0, HW), (c1, HW)], max_workers=1)
+        assert report.succeeded
+        assert [item.source for item in report.items] == [
+            SOURCE_COMPILED, SOURCE_MEMORY,
+        ]
+        stats = service.stats()
+        assert stats["requests"] == 2
+        assert stats["hits"] == 1  # c1 only: the bogus hit was retracted
+        assert stats["misses"] == 1 and stats["compiles"] == 1
+        assert stats["corrupt_entries"] == 1
+        assert (
+            stats["requests"]
+            == stats["hits"] + stats["misses"] + stats["coalesced"]
+        )
+        # The recompiled entry replaced the corrupt one.
+        again = service.compile_batch([(c0, HW)], max_workers=1)
+        assert again.items[0].source == SOURCE_MEMORY
+        assert service.stats()["corrupt_entries"] == 1
+
+    def test_hit_seconds_are_its_own_service_time(self, monkeypatch):
+        from repro.service.service import decode_plan_entry
+
+        service = CompileService()
+        chains = self.distinct_chains(3)
+        requests = [(chain, HW) for chain in chains]
+        service.compile_batch(requests, max_workers=1)
+        pause = 0.2
+
+        def slow_first(entry, hardware):
+            if entry["chain"] == chains[0].name:
+                time.sleep(pause)
+            return decode_plan_entry(entry, hardware)
+
+        monkeypatch.setattr(
+            CompileService, "_decode_entry", staticmethod(slow_first)
+        )
+        report = service.compile_batch(requests, max_workers=1)
+        first, *rest = report.items
+        assert first.seconds >= pause
+        # Served after the slow hit, but not charged for it.
+        assert all(item.seconds < pause for item in rest)
+        assert sum(item.seconds for item in report.items) <= (
+            report.wall_seconds
+        )
+
+    def test_concurrent_batches_keep_the_accounting(self):
+        service = CompileService()
+        warm = self.distinct_chains(2)
+        service.compile_batch([(chain, HW) for chain in warm], max_workers=1)
+        cold = [
+            batch_gemm_chain(1, 96 + 8 * i, 16, 16, 32, name=f"cold{i}")
+            for i in range(2)
+        ]
+        service.metrics.reset()
+        requests = [(chain, HW) for chain in warm + cold]
+        reports = []
+
+        def run():
+            reports.append(service.compile_batch(requests, max_workers=2))
+
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(reports) == 4 and all(r.succeeded for r in reports)
+        stats = service.stats()
+        assert stats["requests"] == 16
+        assert stats["compiles"] == 2  # one per cold key, across batches
+        assert (
+            stats["requests"]
+            == stats["hits"] + stats["misses"] + stats["coalesced"]
+        )
+
+    def test_default_workers_follow_the_affinity_mask(self, monkeypatch):
+        from repro.service.batch import _default_workers
+
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert _default_workers(8) == 1
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        assert _default_workers(8) == 8
+        assert _default_workers(100) == 64
 
 
 # ----------------------------------------------------------------------
